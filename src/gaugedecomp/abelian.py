@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .matrices import IntMatrix, smith_invariants
+from .residues import invariant_factors
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,15 @@ class AbelianGroup:
 
     @classmethod
     def from_orders(cls, free_rank: int = 0, orders: Sequence[int] = ()) -> "AbelianGroup":
-        """Normalize a list of cyclic orders (0 means a Z summand) to invariant factors."""
-        free = free_rank + sum(1 for s in orders if s == 0)
-        finite = [abs(s) for s in orders if s != 0 and abs(s) != 1]
-        if not finite:
-            return cls(free, ())
-        chain = smith_invariants(IntMatrix.diagonal(finite))
+        """Normalize a list of cyclic orders to invariant factors.
+
+        An order 0 adds a Z summand; the signs of the others are ignored,
+        and they are folded into a divisibility chain by gcd/lcm pairs
+        (``residues.invariant_factors``), whose unit entries are dropped.
+        """
+        orders = [int(s) for s in orders]
+        free = free_rank + orders.count(0)
+        chain = invariant_factors(s for s in orders if s)
         return cls(free, tuple(s for s in chain if s > 1))
 
     @property
@@ -143,6 +146,9 @@ class GroupElement:
 
 def direct_sum(groups: Iterable[AbelianGroup]) -> AbelianGroup:
     """Direct sum, renormalized to invariant-factor form.
+
+    Free ranks add up; the torsion orders of all summands go through one
+    ``AbelianGroup.from_orders`` fold.
 
     >>> print(direct_sum([Z, Z]))
     Z^2

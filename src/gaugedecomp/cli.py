@@ -37,7 +37,6 @@ from .residues import Modulus
 from .tables import (
     UNKNOWN,
     LieGroup,
-    MissingTableError,
     SpaceId,
     Sphere,
     load_tables,
@@ -386,9 +385,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except MissingTableError as e:
-        print(f"domain error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, LookupError) as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .abelian import AbelianGroup, direct_sum
-from .classify import DIM7_PI6_COPRIME, classify_conditions
+from .classify import classify_conditions
 from .manifolds import (
     CofibreDescriptor,
     ConnectedSumSpec,
@@ -208,11 +208,13 @@ def level(
     return GaugeLevel.make(order, tuple(ks)).value
 
 
-def _require_decomposable(group, spec, table):
+def _require_decomposable(group, spec, table) -> HomotopyTable:
+    """The resolved table, once a bijective classification clause applies."""
+    table = _require_table(table)
     case = classify_conditions(group, spec, table)
     if not case.is_bijective:
         raise ValueError(f"no decomposition available: {case.reason}")
-    return case
+    return table
 
 
 def wedge_gauge_decomposition(
@@ -258,8 +260,7 @@ def gauge_decomposition(
         )
     if spec.r == 1:
         return wedge_gauge_decomposition(group, spec.n, 1, ks, table)
-    _require_decomposable(group, spec, table)
-    table = _require_table(table)
+    table = _require_decomposable(group, spec, table)
     tbar = suspension_rank(spec, table)
     order = table.connecting_order(group, spec.n)
     return ProductExpr.build(
@@ -285,8 +286,7 @@ def pointed_gauge_decomposition(
     """
     if ks is not None and len(ks) != spec.r:
         raise ValueError(f"expected {spec.r} classifying integers, got {len(ks)}")
-    _require_decomposable(group, spec, table)
-    table = _require_table(table)
+    table = _require_decomposable(group, spec, table)
     tbar = suspension_rank(spec, table)
     return ProductExpr.build(
         [
@@ -338,8 +338,7 @@ def gauge_equivalent(
     ks, ks2 = tuple(ks), tuple(ks2)
     if len(ks) != spec.r or len(ks2) != spec.r:
         raise ValueError(f"classifying tuples must have length {spec.r}")
-    _require_decomposable(group, spec, table)
-    table = _require_table(table)
+    table = _require_decomposable(group, spec, table)
     order = table.connecting_order(group, spec.n)
     su2_branch = (
         (spec.n, spec.q) == (4, 3)
@@ -440,8 +439,7 @@ def pointed_gauge_pi(
     """
     if j < 0:
         raise ValueError("homotopy degree must be non-negative")
-    _require_decomposable(group, spec, table)
-    table = _require_table(table)
+    table = _require_decomposable(group, spec, table)
     tbar = suspension_rank(spec, table)
     known: list[AbelianGroup] = []
     symbolic: list[str] = []
@@ -467,10 +465,3 @@ def pointed_gauge_pi(
     else:
         symbolic.append(f"pi_{j}(Map*(Y_F, {group}))")
     return SymbolicSum(direct_sum(known), tuple(symbolic))
-
-
-def sphere_gauge_pi2_order(level_value: int) -> int:
-    """|pi_2| of the level-l SU(2) gauge group over S^4 equals l itself."""
-    if level_value < 1:
-        raise ValueError("level must be a positive integer")
-    return level_value

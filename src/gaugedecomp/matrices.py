@@ -2,9 +2,11 @@
 
 Provides row echelon forms over columns that mix Z with residue rings
 Z/m, the gcd-orbit reduction of residue vectors with an invertibility
-certificate, and the induced action of integer matrices on tuples of
-abelian-group elements.  Everything is exact; there is no floating point
-anywhere.
+certificate, the induced action of integer matrices on tuples of
+abelian-group elements, and the Smith invariant factors of an integer
+matrix (a reduction to a diagonal followed by the gcd/lcm fold of
+``residues.invariant_factors``).  Everything is exact; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod
+from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -505,71 +507,50 @@ def echelon_rank(b: IntMatrix | MixedMatrix) -> int:
     )
 
 
-def smith_invariants(a: IntMatrix) -> tuple[int, ...]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+def _smallest_entry(mat: list[list[int]], k: int) -> tuple[int, int] | None:
+    """Position of a least nonzero |entry| in rows and columns k..., if any."""
+    best, pivot = 0, None
+    for i in range(k, len(mat)):
+        row = mat[i]
+        for j in range(k, len(row)):
+            v = abs(row[j])
+            if v and (pivot is None or v < best):
+                best, pivot = v, (i, j)
+    return pivot
 
-    Classic alternating row/column reduction; only the invariants are
-    tracked, not the transforms.
+
+def smith_invariants(a: IntMatrix) -> tuple[int, ...]:
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix, units included.
+
+    Alternating row/column reduction to a diagonal: the least nonzero
+    entry of the remaining block moves to the pivot slot and reduces its
+    row and column, which repeats on the remainders until both are clear.
+    The diagonal is then folded into a divisibility chain by
+    ``residues.invariant_factors``.  Only the invariants are tracked, not
+    the transforms.
     """
     mat = a.to_lists()
     nrows, ncols = a.rows, a.cols
-    invariants = []
+    diagonal = []
     k = 0
-    while k < min(nrows, ncols):
-        pivot = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                v = abs(mat[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
+    while k < min(nrows, ncols) and (pivot := _smallest_entry(mat, k)):
         pi, pj = pivot
         mat[k], mat[pi] = mat[pi], mat[k]
         for row in mat:
             row[k], row[pj] = row[pj], row[k]
-        while True:
-            for i in range(k + 1, nrows):
-                q = mat[i][k] // mat[k][k]
-                if q:
-                    for j in range(k, ncols):
-                        mat[i][j] -= q * mat[k][j]
-            for j in range(k + 1, ncols):
-                q = mat[k][j] // mat[k][k]
-                if q:
-                    for i in range(k, nrows):
-                        mat[i][j] -= q * mat[i][k]
-            col_clear = all(mat[i][k] == 0 for i in range(k + 1, nrows))
-            row_clear = all(mat[k][j] == 0 for j in range(k + 1, ncols))
-            if col_clear and row_clear:
-                d = abs(mat[k][k])
-                culprit = None
-                for i in range(k + 1, nrows):
-                    for j in range(k + 1, ncols):
-                        if mat[i][j] % d != 0:
-                            culprit = i
-                            break
-                    if culprit is not None:
-                        break
-                if culprit is None:
-                    break
+        for i in range(k + 1, nrows):
+            q = mat[i][k] // mat[k][k]
+            if q:
                 for j in range(k, ncols):
-                    mat[k][j] += mat[culprit][j]
-            else:
-                # Reduction left a remainder in the cross; pull the new
-                # smallest entry back into the pivot slot and repeat.
-                best = None
-                pivot = None
+                    mat[i][j] -= q * mat[k][j]
+        for j in range(k + 1, ncols):
+            q = mat[k][j] // mat[k][k]
+            if q:
                 for i in range(k, nrows):
-                    for j in range(k, ncols):
-                        v = abs(mat[i][j])
-                        if v and (best is None or v < best):
-                            best, pivot = v, (i, j)
-                pi, pj = pivot
-                mat[k], mat[pi] = mat[pi], mat[k]
-                for row in mat:
-                    row[k], row[pj] = row[pj], row[k]
-        invariants.append(abs(mat[k][k]))
-        k += 1
-    return tuple(invariants)
+                    mat[i][j] -= q * mat[i][k]
+        if all(mat[i][k] == 0 for i in range(k + 1, nrows)) and all(
+            mat[k][j] == 0 for j in range(k + 1, ncols)
+        ):
+            diagonal.append(mat[k][k])
+            k += 1
+    return invariant_factors(diagonal)

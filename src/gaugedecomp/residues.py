@@ -2,7 +2,8 @@
 
 A modulus is a non-negative integer; modulus 0 stands for the ring of
 integers itself, so a single code path covers both Z and Z/m.  All values
-are Python ints, hence arbitrary precision.
+are Python ints, hence arbitrary precision.  ``invariant_factors`` puts a
+sum of finite cyclic groups into invariant-factor form.
 """
 
 from __future__ import annotations
@@ -95,3 +96,24 @@ def gcd_mod(modulus: Modulus, xs: Iterable[Residue | int]) -> int:
         else:
             g = math.gcd(g, modulus.reduce(x))
     return g
+
+
+def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... | dk of the sum of the Z/|s|, s != 0.
+
+    One entry per input, units included.  The orders, smallest first, go
+    into the chain from the top: each entry the carry meets is traded by
+    Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b) until the entry below
+    divides the carry, and a carry of 1 goes to the bottom.
+
+    >>> invariant_factors([4, 6, 1])
+    (1, 2, 12)
+    """
+    chain: list[int] = []
+    for c in sorted(abs(s) for s in orders):
+        i = len(chain)
+        while i and c > 1 and c % chain[i - 1]:
+            i -= 1
+            chain[i], c = math.lcm(chain[i], c), math.gcd(chain[i], c)
+        chain.insert(0 if c == 1 else i, c)
+    return tuple(chain)

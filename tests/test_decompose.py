@@ -24,7 +24,6 @@ from gaugedecomp import (
     pointed_gauge_pi,
     power_fibre_decomposition,
     same_orbit,
-    sphere_gauge_pi2_order,
     wedge_gauge_decomposition,
 )
 
@@ -238,18 +237,6 @@ class TestPointedPi:
     def test_unknown_entries_stay_symbolic(self):
         out = pointed_gauge_pi(SU(2), SPEC, 5)
         assert "pi_9(SU(2))" in " ".join(out.symbolic)
-
-
-class TestPi2Order:
-
-    def test_values(self):
-        assert sphere_gauge_pi2_order(1) == 1
-        assert sphere_gauge_pi2_order(4) == 4
-        assert sphere_gauge_pi2_order(12) == 12
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            sphere_gauge_pi2_order(0)
 
 
 def test_wedge_requires_lie_group():
