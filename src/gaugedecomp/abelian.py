@@ -71,7 +71,15 @@ class AbelianGroup:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AbelianGroup":
-        return cls.from_orders(int(data.get("free", 0)), data.get("torsion", ()))
+        """Group from ``{"free": rank, "torsion": [orders]}``, all exact ints.
+
+        Floats, bools and strings are rejected rather than truncated.
+        """
+        free, torsion = data.get("free", 0), tuple(data.get("torsion", ()))
+        for v in (free, *torsion):
+            if type(v) is not int:
+                raise ValueError(f"group data must be integers, got {v!r}")
+        return cls.from_orders(free, torsion)
 
     def __str__(self):
         parts = []

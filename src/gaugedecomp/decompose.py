@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abelian import AbelianGroup, direct_sum
+from .abelian import AbelianGroup, cardinality, direct_sum
 from .classify import classify_conditions
 from .manifolds import (
     CofibreDescriptor,
@@ -416,9 +416,17 @@ class SymbolicSum:
         }
 
 
-def _remark_shape(xi: tuple[int, ...]) -> bool:
-    """One twist congruent to 1 mod 12 and all others to 0."""
-    residues = sorted(v % 12 for v in xi)
+def _remark_shape(xi: tuple[int, ...], table: HomotopyTable) -> bool:
+    """One twist congruent to 1 and all others to 0, modulo |pi_6(S^3)|.
+
+    The order is that of the table's (4, 3) attaching-image target (12 in
+    the core table); without a finite target the shape is never claimed.
+    """
+    image = table.attaching_image(4, 3)
+    m = cardinality(image.target) if image else 0
+    if not m:
+        return False
+    residues = sorted(v % m for v in xi)
     return residues[:-1] == [0] * (len(xi) - 1) and residues[-1] == 1
 
 
@@ -432,10 +440,10 @@ def pointed_gauge_pi(
 
     r copies of pi_{j+n}(G), r - rank copies of pi_{j+q}(G), plus the
     pi_j of the residual mapping space.  The residual resolves to zero in
-    degree 0 when exactly one twist is a 1 mod 12 and the rest vanish
-    mod 12; when the cofibre degenerates to a sphere it resolves through
-    the tables; otherwise it stays symbolic.  Unknown table entries stay
-    symbolic rather than defaulting.
+    degree 0 when exactly one twist is 1 mod |pi_6(S^3)| (12 in the core
+    table) and the rest vanish modulo it; when the cofibre degenerates to
+    a sphere it resolves through the tables; otherwise it stays symbolic.
+    Unknown table entries stay symbolic rather than defaulting.
     """
     if j < 0:
         raise ValueError("homotopy degree must be non-negative")
@@ -460,7 +468,7 @@ def pointed_gauge_pi(
     if tbar == 0:
         # The cofibre is the sphere S^{n+q}, so the residual is a loop space.
         gather(j + spec.n + spec.q, 1)
-    elif (spec.n, spec.q) == (4, 3) and j == 0 and _remark_shape(spec.xi):
+    elif (spec.n, spec.q) == (4, 3) and j == 0 and _remark_shape(spec.xi, table):
         pass  # the residual term vanishes
     else:
         symbolic.append(f"pi_{j}(Map*(Y_F, {group}))")

@@ -7,12 +7,17 @@ abelian-group elements, and the Smith invariant factors of an integer
 matrix (a reduction to a diagonal followed by the gcd/lcm fold of
 ``residues.invariant_factors``).  Everything is exact; there is no
 floating point anywhere.
+
+The reductions return their unimodular transform D as a dense r x r
+matrix, so building D costs r^2 however sparse it is; each row operation
+on D costs only the support (nonzero count) of its source row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Sequence
 
 from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_factors
@@ -33,7 +38,11 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(int(v) for v in self.entries))
+        # Store a tuple of exact ints (bools and other int-likes coerced);
+        # the type scan spares the copy when the entries already are.
+        entries = self.entries
+        if type(entries) is not tuple or set(map(type, entries)) != {int}:
+            object.__setattr__(self, "entries", tuple(map(int, entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -43,7 +52,7 @@ class IntMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(v for row in rows for v in row))
+        return cls(nrows, ncols, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -292,7 +301,10 @@ class _Reducer:
 
     Holds the working matrix (entries canonical per column modulus) and the
     accumulated integer transform; every operation is elementary, so the
-    transform always has determinant +-1.
+    transform always has determinant +-1.  The transform is kept as dense
+    rows starting from the identity, but a row addition touches only the
+    columns where the source row is nonzero, so its cost is that row's
+    support rather than the matrix size.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], moduli: Sequence[Modulus]):
@@ -300,17 +312,21 @@ class _Reducer:
         self.mat = [
             [self.moduli[j].reduce(v) for j, v in enumerate(row)] for row in rows
         ]
+        self._m = tuple(mod.m for mod in self.moduli)
         n = len(self.mat)
-        self.transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        self.transform = [[0] * n for _ in range(n)]
+        for i, row in enumerate(self.transform):
+            row[i] = 1
 
     def add(self, dst: int, src: int, c: int) -> None:
         if c == 0 or dst == src:
             return
         row_d, row_s = self.mat[dst], self.mat[src]
-        for j, mod in enumerate(self.moduli):
-            row_d[j] = mod.reduce(row_d[j] + c * row_s[j])
+        for j, m in enumerate(self._m):
+            v = row_d[j] + c * row_s[j]
+            row_d[j] = v % m if m else v
         t_d, t_s = self.transform[dst], self.transform[src]
-        for j in range(len(t_d)):
+        for j in compress(range(len(t_s)), t_s):
             t_d[j] += c * t_s[j]
 
     def swap(self, i: int, j: int) -> None:

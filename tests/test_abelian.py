@@ -111,3 +111,23 @@ class TestCardinality:
         assert cardinality(TRIVIAL_GROUP) == 1
         assert cardinality(AbelianGroup(0, (2, 2))) == 4
         assert cardinality(Z) == 0
+
+
+class TestFromDict:
+
+    def test_int_data(self):
+        assert AbelianGroup.from_dict({"free": 1, "torsion": [6, 4]}) == AbelianGroup(1, (2, 12))
+
+    @pytest.mark.parametrize(
+        "data, bad",
+        [
+            ({"free": 0, "torsion": [4.5, 2.9]}, "4.5"),
+            ({"free": 1.7, "torsion": []}, "1.7"),
+            ({"free": 0, "torsion": [True]}, "True"),
+            ({"free": False}, "False"),
+            ({"free": 0, "torsion": ["12"]}, "'12'"),
+        ],
+    )
+    def test_non_int_data_is_rejected_by_value(self, data, bad):
+        with pytest.raises(ValueError, match=bad):
+            AbelianGroup.from_dict(data)

@@ -213,6 +213,24 @@ class TestDeterminism:
         assert out.strip().startswith("G^30(S^6)")
 
 
+class TestUserTableGroupData:
+
+    @pytest.mark.parametrize(
+        "group, bad",
+        [({"free": 0, "torsion": [4.5, 2.9]}, "4.5"), ({"free": 1.7, "torsion": []}, "1.7")],
+    )
+    def test_non_int_group_data_exits_1(self, capsys, tmp_path, group, bad):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"entries": [
+            {"space": {"lie": {"family": "SU", "rank": 3}}, "degree": 7,
+             "group": group, "citation": "user supplied"}
+        ]}))
+        code, out, err = run(capsys, "tables", "--tables", str(path), "--lookup", "SU3,7")
+        assert code == 1
+        assert out == ""
+        assert bad in err
+
+
 class TestCrossProcess:
 
     def test_byte_identical_across_processes(self):

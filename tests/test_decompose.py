@@ -17,6 +17,7 @@ from gaugedecomp import (
     Spin,
     SU,
     UNKNOWN,
+    default_table,
     gauge_decomposition,
     gauge_equivalent,
     level,
@@ -26,6 +27,7 @@ from gaugedecomp import (
     same_orbit,
     wedge_gauge_decomposition,
 )
+from gaugedecomp.tables import table_from_data
 
 SPEC = ConnectedSumSpec(4, 3, (1, 0))
 
@@ -214,6 +216,23 @@ class TestPointedPi:
         out = pointed_gauge_pi(SU(3), SPEC, 0)
         assert out.is_resolved
         assert out.known == AbelianGroup(1, ())
+
+    def test_remark_modulus_comes_from_the_attaching_target(self):
+        # 13 is 1 mod |pi_6(S^3)| = 12, but not mod 24 in a table whose
+        # (4, 3) attaching target is Z/24; an infinite target never
+        # claims the remark shape.
+        def with_target(target):
+            return table_from_data({"attaching_images": [
+                {"n": 4, "q": 3, "target": target, "coeffs": [1],
+                 "citation": "test fixture"}
+            ]}).merged_over(default_table())
+
+        z24 = with_target({"free": 0, "torsion": [24]})
+        spec = ConnectedSumSpec(4, 3, (13, 0))
+        assert pointed_gauge_pi(SU(2), spec, 0).is_resolved
+        assert not pointed_gauge_pi(SU(2), spec, 0, z24).is_resolved
+        assert pointed_gauge_pi(SU(2), ConnectedSumSpec(4, 3, (25, 24)), 0, z24).is_resolved
+        assert not pointed_gauge_pi(SU(2), SPEC, 0, with_target({"free": 1})).is_resolved
 
     def test_generic_twist_keeps_symbolic_term(self):
         out = pointed_gauge_pi(SU(2), ConnectedSumSpec(4, 3, (5, 7)), 0)

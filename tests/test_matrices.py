@@ -39,6 +39,21 @@ def entries_mod(mat, moduli):
     ]
 
 
+class TestIntMatrixEntries:
+
+    @pytest.mark.parametrize("entries", [[True, 3], (True, 3)])
+    def test_bools_are_stored_as_exact_ints(self, entries):
+        m = IntMatrix(1, 2, entries)
+        assert m.entries == (1, 3)
+        assert type(m.entries) is tuple
+        assert all(type(v) is int for v in m.entries)
+
+    def test_list_entries_are_stored_as_a_tuple(self):
+        m = IntMatrix(2, 2, [1, 2, 3, 4])
+        assert type(m.entries) is tuple
+        assert m.entries == (1, 2, 3, 4)
+
+
 class TestOrbitReduce:
 
     def test_example_mod12(self):

@@ -1,4 +1,4 @@
-"""Property tests of the invariant-factor fold against independent oracles.
+"""Property tests of the exact kernel against independent oracles.
 
 Examples are derandomized and bounded, so every run checks the same
 inputs and the suite stays fast.
@@ -10,7 +10,19 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugedecomp import AbelianGroup, IntMatrix, smith_invariants
+from gaugedecomp import (
+    AbelianGroup,
+    ConnectedSumSpec,
+    IntMatrix,
+    MixedMatrix,
+    Modulus,
+    is_echelon,
+    orbit_reduce,
+    row_echelon_int,
+    row_echelon_mixed,
+    smith_invariants,
+    suspension_rank,
+)
 from oracles import random_unimodular, smith_by_factorization
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -52,3 +64,63 @@ def test_smith_of_scrambled_diagonal(d, seed):
     assert len(got) == n
     assert all(b % c == 0 for c, b in zip(got, got[1:]))
     assert tuple(s for s in got if s > 1) == smith_by_factorization([abs(s) for s in d])
+
+
+def product_mod(d, rows, moduli):
+    """D times A by plain loops, each column reduced by its own modulus."""
+    out = []
+    for i in range(d.rows):
+        di = d.row(i)
+        row = []
+        for j, m in enumerate(moduli):
+            v = sum(di[k] * rows[k][j] for k in range(len(rows)))
+            row.append(v % m if m else v)
+        out.append(row)
+    return out
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Tall matrices (up to 60 rows, 1-3 columns) or small square ones."""
+    if draw(st.booleans()):
+        nrows, ncols = draw(st.integers(1, 60)), draw(st.integers(1, 3))
+    else:
+        nrows = ncols = draw(st.integers(1, 5))
+    moduli = draw(st.lists(st.sampled_from([0, 12]), min_size=ncols, max_size=ncols))
+    cell = st.integers(-(2**20), 2**20)
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return moduli, rows
+
+
+@settings(PROFILE, max_examples=40)
+@given(echelon_inputs())
+def test_echelon_transform_is_a_unimodular_certificate(case):
+    moduli, rows = case
+    if any(moduli):
+        d, b = row_echelon_mixed(MixedMatrix.from_rows([Modulus(m) for m in moduli], rows))
+    else:
+        d, b = row_echelon_int(IntMatrix.from_rows(rows))
+    assert product_mod(d, rows, moduli) == b.to_lists()
+    assert d.det() in (1, -1)
+    assert is_echelon(b)
+
+
+@settings(PROFILE, max_examples=40)
+@given(st.sampled_from([0, 1, 2, 12, 60, 97]), st.lists(st.integers(-500, 500), min_size=2, max_size=30))
+def test_orbit_certificates_verify(m, x):
+    cert = orbit_reduce(Modulus(m), x)
+    assert cert.verify(x)
+    assert math.gcd(m, cert.canonical[0].value) == math.gcd(m, *x)
+
+
+@PROFILE
+@given(
+    # Multiples of 12 vanish in the Z/12 target, so rank 0 is drawn too.
+    st.lists(st.one_of(st.integers(-100, 100), st.integers(-8, 8).map(lambda k: 12 * k)), min_size=1, max_size=20),
+    st.randoms(use_true_random=False),
+)
+def test_suspension_rank_ignores_order_and_signs(xi, rng):
+    moved = [v if rng.random() < 0.5 else -v for v in xi]
+    rng.shuffle(moved)
+    base = suspension_rank(ConnectedSumSpec(4, 3, tuple(xi)))
+    assert suspension_rank(ConnectedSumSpec(4, 3, tuple(moved))) == base
