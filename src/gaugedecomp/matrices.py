@@ -9,8 +9,9 @@ matrix (a reduction to a diagonal followed by the gcd/lcm fold of
 floating point anywhere.
 
 The reductions return their unimodular transform D as a dense r x r
-matrix, so building D costs r^2 however sparse it is; each row operation
-on D costs only the support (nonzero count) of its source row.
+matrix, so building D costs r^2 however sparse it is.  A row operation
+on D does Python-level work only on the support (nonzero entries) of its
+source row, after a C-level scan of all r entries that finds them.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        # Store a tuple of exact ints (bools and other int-likes coerced);
-        # the type scan spares the copy when the entries already are.
+        # Store a tuple of exact ints (bools and other int-likes coerced).
+        # The type scan costs about 40% of the coercing copy, so skipping
+        # the copy when it would change nothing pays on large transforms.
         entries = self.entries
         if type(entries) is not tuple or set(map(type, entries)) != {int}:
             object.__setattr__(self, "entries", tuple(map(int, entries)))
@@ -301,18 +303,18 @@ class _Reducer:
 
     Holds the working matrix (entries canonical per column modulus) and the
     accumulated integer transform; every operation is elementary, so the
-    transform always has determinant +-1.  The transform is kept as dense
-    rows starting from the identity, but a row addition touches only the
-    columns where the source row is nonzero, so its cost is that row's
-    support rather than the matrix size.
+    transform always has determinant +-1.  The column moduli are kept as
+    plain ints (0 for a Z column).  The transform is kept as dense rows
+    starting from the identity; a row addition updates it only on the
+    columns where the source row is nonzero, found by a C-level scan of
+    that row, so its Python-level cost is the row's support.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], moduli: Sequence[Modulus]):
-        self.moduli = tuple(moduli)
+        self.moduli = tuple(mod.m for mod in moduli)
         self.mat = [
-            [self.moduli[j].reduce(v) for j, v in enumerate(row)] for row in rows
+            [v % m if m else v for m, v in zip(self.moduli, row)] for row in rows
         ]
-        self._m = tuple(mod.m for mod in self.moduli)
         n = len(self.mat)
         self.transform = [[0] * n for _ in range(n)]
         for i, row in enumerate(self.transform):
@@ -322,7 +324,7 @@ class _Reducer:
         if c == 0 or dst == src:
             return
         row_d, row_s = self.mat[dst], self.mat[src]
-        for j, m in enumerate(self._m):
+        for j, m in enumerate(self.moduli):
             v = row_d[j] + c * row_s[j]
             row_d[j] = v % m if m else v
         t_d, t_s = self.transform[dst], self.transform[src]
@@ -336,9 +338,7 @@ class _Reducer:
         self.transform[i], self.transform[j] = self.transform[j], self.transform[i]
 
     def negate(self, i: int) -> None:
-        self.mat[i] = [
-            mod.reduce(-v) for mod, v in zip(self.moduli, self.mat[i])
-        ]
+        self.mat[i] = [-v % m if m else -v for m, v in zip(self.moduli, self.mat[i])]
         self.transform[i] = [-v for v in self.transform[i]]
 
 
@@ -351,8 +351,7 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
     -1, so it is just sign-normalized deterministically.
     Returns True iff a nonzero pivot was placed.
     """
-    mod = red.moduli[col]
-    m = mod.m
+    m = red.moduli[col]
     if m == 0:
         for i in range(top, bottom):
             if red.mat[i][col] < 0:
