@@ -10,7 +10,6 @@ from .abelian import (
     cardinality,
     cyclic,
     direct_sum,
-    element_order,
 )
 from .classify import (
     BundleClassification,
@@ -31,17 +30,14 @@ from .decompose import (
     GaugeLevel,
     LoopSpace,
     MapStar,
-    PowerFibre,
     ProductExpr,
     SphereGauge,
     SymbolicSum,
-    UnknownFactor,
     gauge_decomposition,
     gauge_equivalent,
     level,
     pointed_gauge_decomposition,
     pointed_gauge_pi,
-    power_fibre_decomposition,
     wedge_gauge_decomposition,
 )
 from .manifolds import (
@@ -60,7 +56,6 @@ from .matrices import (
     IntMatrix,
     MixedMatrix,
     OrbitCertificate,
-    block_diag,
     echelon_rank,
     is_echelon,
     matrix_action,
@@ -69,8 +64,6 @@ from .matrices import (
     row_echelon_mixed,
     same_orbit,
     smith_invariants,
-    unimodular_generators,
-    unimodular_inverse,
 )
 from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod
 from .tables import (
@@ -91,15 +84,12 @@ from .tables import (
     UNKNOWN,
     UnknownValue,
     canonical_space,
-    connecting_order,
     default_table,
     is_simply_connected_simple_compact,
     load_table_file,
     load_tables,
-    lookup_pi,
     pi6_order,
     stable_condition,
-    stable_pi_rule,
 )
 
 __version__ = "0.1.0"

@@ -7,8 +7,6 @@ encoded as 0, matching the modulus-0 convention of the residue layer.
 
 >>> print(direct_sum([cyclic(4), cyclic(6)]))
 Z/2 (+) Z/12
->>> element_order(GroupElement(cyclic(12), (3,)))
-4
 >>> cardinality(AbelianGroup(0, (2, 2)))
 4
 """
@@ -169,17 +167,6 @@ def direct_sum(groups: Iterable[AbelianGroup]) -> AbelianGroup:
         free += g.free_rank
         orders.extend(g.torsion)
     return AbelianGroup.from_orders(free, orders)
-
-
-def element_order(x: GroupElement) -> int:
-    """Least n >= 1 with n*x == 0, or 0 when no such n exists."""
-    free = x.group.free_rank
-    if any(c != 0 for c in x.coeffs[:free]):
-        return 0
-    n = 1
-    for c, s in zip(x.coeffs[free:], x.group.torsion):
-        n = math.lcm(n, s // math.gcd(s, c))
-    return n
 
 
 def cardinality(g: AbelianGroup) -> int:

@@ -17,7 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from .abelian import AbelianGroup
 from .classify import classify_conditions, principal_bundles
 from .decompose import (
     gauge_decomposition,
@@ -374,7 +373,7 @@ def emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(payload.get("pretty", json.dumps(payload, sort_keys=True)))
+        print(payload["pretty"])
 
 
 def main(argv: list[str] | None = None) -> int:

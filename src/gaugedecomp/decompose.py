@@ -1,8 +1,8 @@
 """Symbolic homotopy-type decompositions of gauge groups.
 
 Expressions are canonical products of a small factor vocabulary: a gauge
-group over a single sphere, iterated loop spaces, a pointed mapping space
-on the cofibre descriptor, a power-map fibre, and an opaque unknown term.
+group over a single sphere, iterated loop spaces, and a pointed mapping
+space on the cofibre descriptor.
 Structural equality of canonicalized expressions is the notion of
 "same decomposition" used throughout.
 
@@ -87,20 +87,6 @@ class SphereGauge:
 
 
 @dataclass(frozen=True)
-class PowerFibre:
-    """Homotopy fibre of a k-th power composite; opaque beyond its k."""
-
-    exponent: int
-    map_label: str = "f"
-
-    def sort_key(self):
-        return (1, self.exponent, self.map_label)
-
-    def __str__(self):
-        return f"F^{self.exponent}{self.map_label}"
-
-
-@dataclass(frozen=True)
 class LoopSpace:
     """Iterated loop space Omega^degree of a space."""
 
@@ -129,18 +115,7 @@ class MapStar:
         return f"Map*({self.cofibre.label()}, {self.group})"
 
 
-@dataclass(frozen=True)
-class UnknownFactor:
-    label: str
-
-    def sort_key(self):
-        return (4, self.label)
-
-    def __str__(self):
-        return self.label
-
-
-Factor = SphereGauge | PowerFibre | LoopSpace | MapStar | UnknownFactor
+Factor = SphereGauge | LoopSpace | MapStar
 
 
 @dataclass(frozen=True)
@@ -182,15 +157,10 @@ class ProductExpr:
                 entry["kind"] = "loop_space"
                 entry["degree"] = factor.degree
                 entry["space"] = str(factor.space)
-            elif isinstance(factor, MapStar):
+            else:
                 entry["kind"] = "pointed_maps"
                 entry["cofibre_spheres"] = factor.cofibre.sphere_count
                 entry["cofibre_resolved"] = factor.cofibre.resolved
-            elif isinstance(factor, PowerFibre):
-                entry["kind"] = "power_fibre"
-                entry["exponent"] = factor.exponent
-            else:
-                entry["kind"] = "unknown"
             out.append(entry)
         return {"factors": out, "pretty": str(self)}
 
@@ -250,16 +220,14 @@ def gauge_decomposition(
 
     A sphere gauge factor at level gcd(order, ks), r - 1 copies of
     Omega^n G, r - rank copies of Omega^q G, and the pointed mapping space
-    on the cofibre descriptor.  A one-summand manifold degenerates to the
-    single-sphere case.
+    on the cofibre descriptor.  Only a bijective classification clause
+    yields a decomposition, for any number of summands.
     """
     ks = tuple(ks)
     if len(ks) != spec.r:
         raise ValueError(
             f"expected {spec.r} classifying integers, got {len(ks)}"
         )
-    if spec.r == 1:
-        return wedge_gauge_decomposition(group, spec.n, 1, ks, table)
     table = _require_decomposable(group, spec, table)
     tbar = suspension_rank(spec, table)
     order = table.connecting_order(group, spec.n)
@@ -294,25 +262,6 @@ def pointed_gauge_decomposition(
             (LoopSpace(group, spec.q), spec.r - tbar),
             (MapStar(cofibre_space(spec, table), group), 1),
         ]
-    )
-
-
-def power_fibre_decomposition(
-    order: int, r: int, ks: Sequence[int], space_label: str = "Y"
-) -> ProductExpr:
-    """Fibre of a sum of power-map composites through one map of given order.
-
-    The fibre of sum(ks[i] * f_i) splits as the fibre of the k-th power
-    composite, k = gcd(order, ks), times r - 1 copies of Omega Y.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative (0 = infinite)")
-    ks = tuple(ks)
-    if len(ks) != r:
-        raise ValueError(f"expected {r} coefficients, got {len(ks)}")
-    k = math.gcd(order, *ks)
-    return ProductExpr.build(
-        [(PowerFibre(k), 1), (LoopSpace(space_label, 1), r - 1)]
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, cycle
 from typing import Sequence
 
 from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_factors
@@ -59,15 +59,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -121,67 +112,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    @property
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
-
-
-def block_diag(d1: IntMatrix, d2: IntMatrix) -> IntMatrix:
-    """Block-diagonal assembly of two square matrices."""
-    if d1.rows != d1.cols or d2.rows != d2.cols:
-        raise ValueError("block_diag needs square blocks")
-    n = d1.rows + d2.rows
-    rows = []
-    for i in range(d1.rows):
-        rows.append(list(d1.row(i)) + [0] * d2.cols)
-    for i in range(d2.rows):
-        rows.append([0] * d1.cols + list(d2.row(i)))
-    return IntMatrix.from_rows(rows)
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Integer inverse of a matrix with determinant +-1, via the adjugate."""
-    d = a.det()
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {d})")
-    n = a.rows
-    if n == 1:
-        return IntMatrix(1, 1, (d,))
-
-    def minor_det(skip_i, skip_j):
-        rows = [
-            [a.entry(i, j) for j in range(n) if j != skip_j]
-            for i in range(n)
-            if i != skip_i
-        ]
-        return IntMatrix.from_rows(rows).det()
-
-    # inverse = adjugate / det, and det is a unit.
-    inv = [
-        [((-1) ** (i + j)) * minor_det(j, i) * d for j in range(n)]
-        for i in range(n)
-    ]
-    return IntMatrix.from_rows(inv)
-
-
-def unimodular_generators(r: int) -> tuple[IntMatrix, IntMatrix]:
-    """The standard two-element generating set of GL_r over Z or Z/m, r >= 2.
-
-    Returns (shear, signed_cycle): the shear is the identity plus a single
-    1 in position (2, 1); the signed cycle is (-1)**(r-1) times the cyclic
-    permutation matrix with a 1 in the top-right corner.
-    """
-    if r < 2:
-        raise ValueError("generators are defined for r >= 2")
-    shear = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    shear[1][0] = 1
-    sign = (-1) ** (r - 1)
-    cyc = [[0] * r for _ in range(r)]
-    cyc[0][r - 1] = sign
-    for i in range(1, r):
-        cyc[i][i - 1] = sign
-    return IntMatrix.from_rows(shear), IntMatrix.from_rows(cyc)
-
 
 def matrix_action(a: IntMatrix, elements: Sequence) -> tuple:
     """Left action of an integer matrix on a tuple of group elements.
@@ -222,11 +152,12 @@ class MixedMatrix:
     def __post_init__(self):
         if self.rows < 1:
             raise ValueError("matrix needs at least one row")
-        if len(self.entries) != self.rows * self.cols:
+        moduli = [mod.m for mod in self.column_moduli]
+        if len(self.entries) != self.rows * len(moduli):
             raise ValueError("entry count does not match dimensions")
+        # One pass to exact ints: a bool in a Z column is stored as 0 or 1.
         canon = tuple(
-            self.column_moduli[k % self.cols].reduce(v)
-            for k, v in enumerate(self.entries)
+            v % m if m else int(v) for v, m in zip(self.entries, cycle(moduli))
         )
         object.__setattr__(self, "entries", canon)
 
@@ -246,9 +177,6 @@ class MixedMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
-
-    def residue(self, i: int, j: int) -> Residue:
-        return Residue(self.column_moduli[j], self.entry(i, j))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

@@ -289,9 +289,9 @@ def default_table() -> HomotopyTable:
     return table_from_data(json.loads(text))
 
 
-def load_tables(paths: Sequence[str | Path] = (), include_core: bool = True) -> HomotopyTable:
+def load_tables(paths: Sequence[str | Path] = ()) -> HomotopyTable:
     """Merge table files over the core; later paths take precedence."""
-    table = default_table() if include_core else HomotopyTable()
+    table = default_table()
     for path in paths:
         table = load_table_file(path).merged_over(table)
     return table
@@ -299,18 +299,6 @@ def load_tables(paths: Sequence[str | Path] = (), include_core: bool = True) -> 
 
 def _require_table(table: HomotopyTable | None) -> HomotopyTable:
     return table if table is not None else default_table()
-
-
-def lookup_pi(
-    space: SpaceId, degree: int, table: HomotopyTable | None = None
-) -> AbelianGroup | UnknownValue:
-    return _require_table(table).lookup_pi(space, degree)
-
-
-def connecting_order(
-    space: SpaceId, n: int, table: HomotopyTable | None = None
-) -> int | UnknownValue:
-    return _require_table(table).connecting_order(space, n)
 
 
 def pi6_order(space: SpaceId, table: HomotopyTable | None = None) -> int:
@@ -354,21 +342,3 @@ def stable_condition(space: SpaceId, n: int, q: int) -> str | None:
             return "Sp"
     return None
 
-
-def stable_pi_rule(space: SpaceId, n: int, q: int, degree: int) -> AbelianGroup:
-    """Stable-range values: Z in degree n-1, trivial in degrees q-1 and n+q-1.
-
-    Only valid when ``stable_condition`` holds; callers outside that range
-    must use ``lookup_pi`` instead.
-    """
-    if stable_condition(space, n, q) is None:
-        raise ValueError(
-            f"stable rule does not apply to {space} with (n, q)=({n}, {q})"
-        )
-    if degree == n - 1:
-        return AbelianGroup(1, ())
-    if degree in (q - 1, n + q - 1):
-        return AbelianGroup(0, ())
-    raise ValueError(
-        f"stable rule covers degrees {q - 1}, {n - 1}, {n + q - 1}; got {degree}"
-    )

@@ -11,16 +11,41 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from gaugedecomp import IntMatrix, unimodular_generators, unimodular_inverse
+from gaugedecomp import IntMatrix
 
 
 def gcd_class(m: int, vec: tuple[int, ...]) -> int:
     return math.gcd(m, *vec)
 
 
+def diagonal(values: list[int]) -> IntMatrix:
+    """Square matrix with ``values`` on the diagonal and zeros elsewhere."""
+    n = len(values)
+    return IntMatrix.from_rows([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
+
+
+def unimodular_generators(r: int) -> tuple[IntMatrix, IntMatrix]:
+    """The standard generators of GL_r(Z), r >= 2: (shear, signed cycle).
+
+    The shear is the identity plus a 1 in position (2, 1); the signed cycle
+    is (-1)**(r-1) times the cyclic permutation matrix with a 1 in the
+    top-right corner.
+    """
+    shear = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    shear[1][0] = 1
+    sign = (-1) ** (r - 1)
+    cycle = [[sign if j == (i - 1) % r else 0 for j in range(r)] for i in range(r)]
+    return IntMatrix.from_rows(shear), IntMatrix.from_rows(cycle)
+
+
 def _induced_maps(m: int, r: int) -> list[IntMatrix]:
+    """The two generators and their closed-form inverses: I - E for the
+    shear I + E, and the transpose for the cycle (a signed permutation)."""
     shear, cycle = unimodular_generators(r)
-    return [shear, cycle, unimodular_inverse(shear), unimodular_inverse(cycle)]
+    identity = IntMatrix.identity(r)
+    shear_inv = IntMatrix(r, r, tuple(2 * a - b for a, b in zip(identity.entries, shear.entries)))
+    cycle_inv = IntMatrix.from_rows([list(col) for col in zip(*cycle.to_lists())])
+    return [shear, cycle, shear_inv, cycle_inv]
 
 
 def orbit_partition(m: int, r: int) -> dict[tuple[int, ...], frozenset]:

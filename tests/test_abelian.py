@@ -10,7 +10,6 @@ from gaugedecomp import (
     cardinality,
     cyclic,
     direct_sum,
-    element_order,
 )
 
 
@@ -82,26 +81,6 @@ class TestElements:
     def test_cross_group_addition_rejected(self):
         with pytest.raises(ValueError):
             GroupElement(cyclic(4), (1,)) + GroupElement(cyclic(8), (1,))
-
-
-class TestElementOrder:
-
-    def test_examples(self):
-        assert element_order(cyclic(12).zero()) == 1
-        assert element_order(GroupElement(cyclic(12), (3,))) == 4
-        g = direct_sum([Z, cyclic(6)])
-        assert element_order(GroupElement(g, (1, 2))) == 0
-
-    def test_order_divides_cardinality(self):
-        rng = random.Random(12)
-        for _ in range(200):
-            g = AbelianGroup.from_orders(0, [rng.randint(2, 20) for _ in range(3)])
-            size = cardinality(g)
-            assert size > 0
-            x = GroupElement(
-                g, tuple(rng.randint(0, 50) for _ in range(g.generator_count))
-            )
-            assert size % element_order(x) == 0
 
 
 class TestCardinality:

@@ -124,6 +124,15 @@ class TestEchelon:
         assert payload["echelon"] == [[2, 6], [0, 0]]
         assert payload["det"] in (1, -1)
 
+    def test_bools_print_as_ints(self, capsys):
+        argv = ("echelon", "[[true,5],[false,3]]", "--m", "0,12")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["echelon"] == [[1, 2], [0, 3]]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "1 2\n0 3\n"
+
     def test_integer_default(self, capsys):
         code, out, _ = run(capsys, "echelon", "[[2,4],[3,5]]", "--json")
         assert code == 0

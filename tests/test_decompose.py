@@ -6,24 +6,26 @@ import pytest
 from gaugedecomp import (
     AbelianGroup,
     ConnectedSumSpec,
+    E8,
+    F4,
     G2,
     GaugeLevel,
     LoopSpace,
     MapStar,
     Modulus,
-    PowerFibre,
     Sp,
     SphereGauge,
     Spin,
     SU,
+    Sphere,
     UNKNOWN,
+    classify_conditions,
     default_table,
     gauge_decomposition,
     gauge_equivalent,
     level,
     pointed_gauge_decomposition,
     pointed_gauge_pi,
-    power_fibre_decomposition,
     same_orbit,
     wedge_gauge_decomposition,
 )
@@ -94,8 +96,15 @@ class TestUnpointed:
             gauge_decomposition(SU(2), SPEC, (1, 2, 3))
 
     def test_single_summand_degenerates(self):
-        expr = gauge_decomposition(SU(2), ConnectedSumSpec(4, 3, (5,)), (6,))
-        assert str(expr) == "G^6(S^4)"
+        # One summand is a sphere bundle, not S^4: the general formula with
+        # r = 1 and rank 1 keeps the residual Map* factor, which the pointed
+        # gauge group (the fibre of evaluation) carries too.
+        spec = ConnectedSumSpec(4, 3, (5,))
+        expr = gauge_decomposition(SU(2), spec, (6,))
+        assert str(expr) == "G^6(S^4) x Map*(Y_F, SU(2))"
+        assert str(pointed_gauge_decomposition(SU(2), spec)) == (
+            "Omega^4 SU(2) x Map*(Y_F, SU(2))"
+        )
 
     def test_equality_iff_level_matches(self):
         exprs = {}
@@ -143,27 +152,35 @@ class TestWedge:
         assert str(expr).startswith("G^1(S^4)")
 
 
-class TestPowerFibre:
+class TestDomainGate:
 
-    def test_example(self):
-        expr = power_fibre_decomposition(12, 3, (4, 6, 0))
-        fm = factor_map(expr)
-        assert fm[PowerFibre(2)] == 1
-        assert fm[LoopSpace("Y", 1)] == 2
-        assert str(expr) == "F^2f x Omega Y^2"
+    GROUPS = (
+        SU(2), SU(3), SU(4), SU(5), Sp(1), Sp(2), Sp(3), G2, F4, E8,
+        Spin(4), Spin(7), Sphere(3),
+    )
+    DIMS = ((4, 3), (6, 3), (6, 5), (8, 3), (9, 5))
+    TWISTS = ((0,), (1,), (2,), (5,), (6,), (0, 0), (1, 0), (2, 2), (3, 6), (2, 4, 6), (1, 0, 0))
 
-    def test_infinite_order_all_zero(self):
-        expr = power_fibre_decomposition(0, 2, (0, 0))
-        assert str(expr) == "F^0f x Omega Y"
-
-    def test_unit_coefficient(self):
-        expr = power_fibre_decomposition(12, 2, (1, 0))
-        assert str(expr) == "F^1f x Omega Y"
-
-    def test_equal_order_equal_expression(self):
-        a = power_fibre_decomposition(12, 3, (2, 6, 0))
-        b = power_fibre_decomposition(12, 3, (10, 2, 4))
-        assert a == b
+    def test_every_entry_point_rejects_non_bijective_specs(self):
+        rejected = set()
+        for group in self.GROUPS:
+            for n, q in self.DIMS:
+                for xi in self.TWISTS:
+                    spec = ConnectedSumSpec(n, q, xi)
+                    if classify_conditions(group, spec).is_bijective:
+                        continue
+                    ks = (1,) * spec.r
+                    calls = (
+                        lambda: gauge_decomposition(group, spec, ks),
+                        lambda: pointed_gauge_decomposition(group, spec),
+                        lambda: gauge_equivalent(group, spec, ks, ks),
+                        lambda: pointed_gauge_pi(group, spec, 0),
+                    )
+                    for call in calls:
+                        with pytest.raises(ValueError):
+                            call()
+                    rejected.add(spec.r)
+        assert rejected == {1, 2, 3}
 
 
 class TestEquivalent:

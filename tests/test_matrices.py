@@ -9,7 +9,6 @@ from gaugedecomp import (
     MixedMatrix,
     Modulus,
     Z,
-    block_diag,
     cyclic,
     direct_sum,
     echelon_rank,
@@ -21,14 +20,14 @@ from gaugedecomp import (
     row_echelon_mixed,
     same_orbit,
     smith_invariants,
-    unimodular_generators,
-    unimodular_inverse,
 )
 from oracles import (
     determinantal_invariants,
+    diagonal,
     elementary_orbit,
     random_unimodular,
     smith_by_factorization,
+    unimodular_generators,
 )
 
 
@@ -121,7 +120,7 @@ class TestEchelonInt:
         assert is_echelon(b)
 
     def test_zero_matrix(self):
-        a = IntMatrix.zeros(2, 3)
+        a = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
         d, b = row_echelon_int(a)
         assert b.to_lists() == a.to_lists()
         assert d.to_lists() == IntMatrix.identity(2).to_lists()
@@ -142,6 +141,11 @@ class TestEchelonInt:
 
 
 class TestEchelonMixed:
+
+    def test_bools_are_stored_as_exact_ints(self):
+        a = MixedMatrix.from_rows([Modulus(0), Modulus(12)], [[True, 17], [False, -3]])
+        assert a.entries == (1, 5, 0, 9)
+        assert all(type(v) is int for v in a.entries)
 
     def test_z_and_z12_columns(self):
         moduli = [Modulus(0), Modulus(12)]
@@ -185,7 +189,7 @@ class TestEchelonMixed:
 class TestEchelonRank:
 
     def test_examples(self):
-        assert echelon_rank(IntMatrix.zeros(2, 2)) == 0
+        assert echelon_rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
         assert echelon_rank(IntMatrix.identity(3)) == 3
         mixed = MixedMatrix.from_rows(
             [Modulus(0), Modulus(12)], [[2, 6], [0, 0]]
@@ -199,32 +203,6 @@ class TestEchelonRank:
         zero_row_first = IntMatrix.from_rows([[0, 0], [1, 0]])
         with pytest.raises(ValueError):
             echelon_rank(zero_row_first)
-
-
-class TestGenerators:
-
-    def test_r2_matrices(self):
-        q, t = unimodular_generators(2)
-        assert q.to_lists() == [[1, 0], [1, 1]]
-        assert t.to_lists() == [[0, -1], [-1, 0]]
-        assert q.det() == 1
-        assert t.det() == -1
-
-    def test_r3_cycle_is_positive(self):
-        _, t = unimodular_generators(3)
-        assert t.to_lists() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-        assert t.det() == 1
-
-    def test_rejects_r1(self):
-        with pytest.raises(ValueError):
-            unimodular_generators(1)
-
-    def test_inverse_roundtrip(self):
-        rng = random.Random(44)
-        for r in (2, 3, 4):
-            a = random_unimodular(rng, r)
-            inv = unimodular_inverse(a)
-            assert (a @ inv).to_lists() == IntMatrix.identity(r).to_lists()
 
 
 class TestMatrixAction:
@@ -289,34 +267,17 @@ class TestMatrixAction:
             assert matrix_action(a, v) == matrix_action(shifted, v)
 
 
-class TestBlockDiag:
-
-    def test_identities(self):
-        out = block_diag(IntMatrix.identity(2), IntMatrix.identity(2))
-        assert out.to_lists() == IntMatrix.identity(4).to_lists()
-
-    def test_det_multiplies(self):
-        q, t = unimodular_generators(2)
-        out = block_diag(q, t)
-        assert out.rows == 4
-        assert out.det() == -1
-
-    def test_non_unimodular_block_detected(self):
-        out = block_diag(IntMatrix.from_rows([[2]]), IntMatrix.identity(1))
-        assert not out.is_unimodular
-
-
 class TestSmithInvariants:
 
     def test_diag_4_6(self):
-        assert smith_invariants(IntMatrix.diagonal([4, 6])) == (2, 12)
+        assert smith_invariants(diagonal([4, 6])) == (2, 12)
         assert smith_by_factorization([4, 6]) == (2, 12)
 
     def test_against_factorization_oracle(self):
         rng = random.Random(47)
         for _ in range(100):
             orders = [rng.randint(2, 60) for _ in range(rng.randint(1, 4))]
-            got = smith_invariants(IntMatrix.diagonal(orders))
+            got = smith_invariants(diagonal(orders))
             want = smith_by_factorization(orders)
             assert tuple(s for s in got if s > 1) == want
 

@@ -23,7 +23,7 @@ from gaugedecomp import (
     smith_invariants,
     suspension_rank,
 )
-from oracles import random_unimodular, smith_by_factorization
+from oracles import diagonal, random_unimodular, smith_by_factorization
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -59,7 +59,7 @@ def test_from_orders_matches_factorization(orders):
 def test_smith_of_scrambled_diagonal(d, seed):
     rng = random.Random(seed)
     n = len(d)
-    a = random_unimodular(rng, n) @ IntMatrix.diagonal(d) @ random_unimodular(rng, n)
+    a = random_unimodular(rng, n) @ diagonal(d) @ random_unimodular(rng, n)
     got = smith_invariants(a)
     assert len(got) == n
     assert all(b % c == 0 for c, b in zip(got, got[1:]))
