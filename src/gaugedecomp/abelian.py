@@ -4,6 +4,7 @@ A group is stored as ``Z^free_rank (+) Z/s1 (+) ... (+) Z/sk`` with
 ``2 <= s1 | s2 | ... | sk``, which makes structural equality literal
 equality.  Infinite cardinality and infinite element order are both
 encoded as 0, matching the modulus-0 convention of the residue layer.
+Groups and their elements are immutable; arithmetic returns new elements.
 
 >>> print(direct_sum([cyclic(4), cyclic(6)]))
 Z/2 (+) Z/12
@@ -14,31 +15,31 @@ Z/2 (+) Z/12
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .residues import invariant_factors
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """A finitely generated abelian group in invariant-factor form."""
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(int(s) for s in self.torsion))
-        for s in self.torsion:
+        torsion = tuple(int(s) for s in torsion)
+        for s in torsion:
             if s < 2:
                 raise ValueError(f"torsion orders must be >= 2, got {s}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(
                     f"torsion orders must form a divisibility chain, got {a} before {b}"
                 )
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion", torsion)
 
     @classmethod
     def from_orders(cls, free_rank: int = 0, orders: Sequence[int] = ()) -> "AbelianGroup":
@@ -98,27 +99,24 @@ def cyclic(m: int) -> AbelianGroup:
     return AbelianGroup.from_orders(0, (m,))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """An element given by coefficients over the group's generators.
 
     Free coordinates come first, then one coordinate per torsion order,
     reduced into [0, s_j).
     """
 
-    group: AbelianGroup
-    coeffs: tuple[int, ...]
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.group.generator_count:
-            raise ValueError(
-                f"expected {self.group.generator_count} coefficients, got {len(self.coeffs)}"
-            )
-        free = self.group.free_rank
-        reduced = tuple(self.coeffs[:free]) + tuple(
-            c % s for c, s in zip(self.coeffs[free:], self.group.torsion)
+    def __init__(self, group: AbelianGroup, coeffs: tuple[int, ...]):
+        if len(coeffs) != group.generator_count:
+            raise ValueError(f"expected {group.generator_count} coefficients, got {len(coeffs)}")
+        free = group.free_rank
+        reduced = tuple(coeffs[:free]) + tuple(
+            c % s for c, s in zip(coeffs[free:], group.torsion)
         )
-        object.__setattr__(self, "coeffs", reduced)
+        set_field(self, "group", group)
+        set_field(self, "coeffs", reduced)
 
     @property
     def is_zero(self) -> bool:

@@ -3,14 +3,14 @@
 Decides which classification clause applies to a pair (G, manifold) and
 computes the set of isomorphism classes of principal G-bundles: the free
 group Z^r in the three bijective cases, or the stable wedge formula with
-a symbolic residual term in the wider stable range.
+a symbolic residual term in the wider stable range.  Results are immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .abelian import AbelianGroup
 from .manifolds import ConnectedSumSpec, suspension_rank
 from .tables import (
@@ -34,10 +34,12 @@ UNSUPPORTED = "Unsupported"
 _BIJECTIVE = (SU_STABLE, SP_STABLE, DIM7_PI6_COPRIME)
 
 
-@dataclass(frozen=True)
-class ClassificationCase:
-    kind: str
-    reason: str = ""
+class ClassificationCase(Record):
+    __slots__ = ("kind", "reason")
+
+    def __init__(self, kind: str, reason: str = ""):
+        set_field(self, "kind", kind)
+        set_field(self, "reason", reason)
 
     @property
     def is_bijective(self) -> bool:
@@ -98,12 +100,14 @@ def classify_conditions(
     )
 
 
-@dataclass(frozen=True)
-class BundleFormula:
+class BundleFormula(Record):
     """Direct-sum formula with a named symbolic residual, e.g. [Y_F, BG]."""
 
-    terms: tuple[tuple[AbelianGroup | UnknownValue, int], ...]
-    residual: str
+    __slots__ = ("terms", "residual")
+
+    def __init__(self, terms: tuple[tuple[AbelianGroup | UnknownValue, int], ...], residual: str):
+        set_field(self, "terms", terms)
+        set_field(self, "residual", residual)
 
     def __str__(self):
         parts = []
@@ -114,12 +118,15 @@ class BundleFormula:
         return " (+) ".join(parts)
 
 
-@dataclass(frozen=True)
-class BundleClassification:
-    case: ClassificationCase
-    free_rank: int | None = None
-    formula: BundleFormula | None = None
-    note: str = ""
+class BundleClassification(Record):
+    __slots__ = ("case", "free_rank", "formula", "note")
+
+    def __init__(self, case: ClassificationCase, free_rank: int | None = None,
+                 formula: BundleFormula | None = None, note: str = ""):
+        set_field(self, "case", case)
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "formula", formula)
+        set_field(self, "note", note)
 
     def __str__(self):
         if self.free_rank is not None:

@@ -236,11 +236,10 @@ def cmd_echelon(args) -> dict:
         moduli = (0,) * ncols
     if all(m == 0 for m in moduli):
         d, b = row_echelon_int(IntMatrix.from_rows(rows))
-        reduced = b.to_lists()
     else:
         mixed = MixedMatrix.from_rows([Modulus(m) for m in moduli], rows)
         d, b = row_echelon_mixed(mixed)
-        reduced = b.to_lists()
+    reduced = b.to_lists()
     return {
         "moduli": list(moduli),
         "echelon": reduced,

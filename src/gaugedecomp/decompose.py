@@ -4,7 +4,7 @@ Expressions are canonical products of a small factor vocabulary: a gauge
 group over a single sphere, iterated loop spaces, and a pointed mapping
 space on the cofibre descriptor.
 Structural equality of canonicalized expressions is the notion of
-"same decomposition" used throughout.
+"same decomposition" used throughout; all results are immutable values.
 
 Equivalence verdicts never claim more than is proved: the only branch
 with a complete iff criterion is SU(2) over seven-dimensional sums with
@@ -16,9 +16,9 @@ depends on K only through its level) and unequal levels give Unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, set_field
 from .abelian import AbelianGroup, cardinality, direct_sum
 from .classify import classify_conditions
 from .manifolds import (
@@ -39,8 +39,7 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class GaugeLevel:
+class GaugeLevel(Record):
     """Level of a gauge group over a sphere: gcd of the connecting-map
     order with the classifying tuple.
 
@@ -49,8 +48,11 @@ class GaugeLevel:
     tuple is kept and the level stays symbolic.
     """
 
-    order: int | None
-    k_gcd: int
+    __slots__ = ("order", "k_gcd")
+
+    def __init__(self, order: int | None, k_gcd: int):
+        set_field(self, "order", order)
+        set_field(self, "k_gcd", k_gcd)
 
     @classmethod
     def make(cls, order: int | UnknownValue | None, ks: Sequence[int]) -> "GaugeLevel":
@@ -71,13 +73,15 @@ class GaugeLevel:
         return str(self.k_gcd) if self.known else f"gcd(o(d_1), {self.k_gcd})"
 
 
-@dataclass(frozen=True)
-class SphereGauge:
+class SphereGauge(Record):
     """Gauge group of the level-l bundle over a single sphere."""
 
-    group: SpaceId
-    base_dim: int
-    level: GaugeLevel
+    __slots__ = ("group", "base_dim", "level")
+
+    def __init__(self, group: SpaceId, base_dim: int, level: GaugeLevel):
+        set_field(self, "group", group)
+        set_field(self, "base_dim", base_dim)
+        set_field(self, "level", level)
 
     def sort_key(self):
         return (0, self.base_dim, str(self.group), str(self.level))
@@ -86,12 +90,14 @@ class SphereGauge:
         return f"G^{self.level}(S^{self.base_dim})"
 
 
-@dataclass(frozen=True)
-class LoopSpace:
+class LoopSpace(Record):
     """Iterated loop space Omega^degree of a space."""
 
-    space: SpaceId | str
-    degree: int
+    __slots__ = ("space", "degree")
+
+    def __init__(self, space: SpaceId | str, degree: int):
+        set_field(self, "space", space)
+        set_field(self, "degree", degree)
 
     def sort_key(self):
         return (2, -self.degree, str(self.space))
@@ -101,12 +107,14 @@ class LoopSpace:
         return f"{prefix} {self.space}"
 
 
-@dataclass(frozen=True)
-class MapStar:
+class MapStar(Record):
     """Pointed mapping space from a cofibre descriptor into a group."""
 
-    cofibre: CofibreDescriptor
-    group: SpaceId
+    __slots__ = ("cofibre", "group")
+
+    def __init__(self, cofibre: CofibreDescriptor, group: SpaceId):
+        set_field(self, "cofibre", cofibre)
+        set_field(self, "group", group)
 
     def sort_key(self):
         return (3, str(self.group), self.cofibre.cell_dim, self.cofibre.sphere_count)
@@ -118,11 +126,13 @@ class MapStar:
 Factor = SphereGauge | LoopSpace | MapStar
 
 
-@dataclass(frozen=True)
-class ProductExpr:
+class ProductExpr(Record):
     """Canonical product of factors with multiplicities >= 1."""
 
-    factors: tuple[tuple[Factor, int], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[Factor, int], ...]):
+        set_field(self, "factors", factors)
 
     @classmethod
     def build(cls, pairs: Sequence[tuple[Factor, int]]) -> "ProductExpr":
@@ -265,10 +275,12 @@ def pointed_gauge_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    verdict: str  # "Equivalent" | "NotEquivalent" | "Unknown"
-    reason: str
+class EquivalenceVerdict(Record):
+    __slots__ = ("verdict", "reason")  # verdict: "Equivalent", "NotEquivalent" or "Unknown"
+
+    def __init__(self, verdict: str, reason: str):
+        set_field(self, "verdict", verdict)
+        set_field(self, "reason", reason)
 
 
 def gauge_equivalent(
@@ -339,12 +351,14 @@ def gauge_equivalent(
     )
 
 
-@dataclass(frozen=True)
-class SymbolicSum:
+class SymbolicSum(Record):
     """A direct sum, split into a table-resolved part and symbolic terms."""
 
-    known: AbelianGroup
-    symbolic: tuple[str, ...]
+    __slots__ = ("known", "symbolic")
+
+    def __init__(self, known: AbelianGroup, symbolic: tuple[str, ...]):
+        set_field(self, "known", known)
+        set_field(self, "symbolic", symbolic)
 
     @property
     def is_resolved(self) -> bool:

@@ -9,34 +9,35 @@ opaque mapping-space factor downstream.
 
 Built-in table data covers (n, q) = (4, 3), where the twist image in
 pi_6(S^3) = Z/12 is the twist reduced mod 12.  Other (n, q) work exactly
-when a user table declares the corresponding generator images.
+when a user table declares the corresponding generator images.  Specs
+and the descriptors computed from them are immutable.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .abelian import GroupElement
 from .matrices import MixedMatrix, echelon_rank, row_echelon_mixed
 from .residues import Modulus
 from .tables import HomotopyTable, MissingTableError, _require_table
 
 
-@dataclass(frozen=True)
-class ConnectedSumSpec:
+class ConnectedSumSpec(Record):
     """Connected sum of r sphere-bundle summands with integer twists xi."""
 
-    n: int
-    q: int
-    xi: tuple[int, ...]
+    __slots__ = ("n", "q", "xi")
 
-    def __post_init__(self):
-        if self.n < 2 or self.q < 2:
+    def __init__(self, n: int, q: int, xi: tuple[int, ...]):
+        if n < 2 or q < 2:
             raise ValueError("sphere dimensions must be >= 2")
-        object.__setattr__(self, "xi", tuple(int(v) for v in self.xi))
-        if len(self.xi) < 1:
+        xi = tuple(int(v) for v in xi)
+        if len(xi) < 1:
             raise ValueError("a connected sum needs at least one summand")
+        set_field(self, "n", n)
+        set_field(self, "q", q)
+        set_field(self, "xi", xi)
 
     @property
     def r(self) -> int:
@@ -47,15 +48,18 @@ class ConnectedSumSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConnectedSumSpec":
-        return cls(int(data["n"]), int(data["q"]), tuple(data["xi"]))
+        n, q, xi = data["n"], data["q"], tuple(data["xi"])
+        for v in (n, q, *xi):
+            if type(v) is not int:
+                raise ValueError(f"spec data must be integers, got {v!r}")
+        return cls(n, q, xi)
 
     @classmethod
     def from_json(cls, text: str) -> "ConnectedSumSpec":
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class AttachingTerm:
+class AttachingTerm(Record):
     """One summand's contribution: twist image plus a Whitehead product.
 
     ``twist`` is the image of the summand's twist in pi_{n+q-1}(S^q), or
@@ -64,8 +68,11 @@ class AttachingTerm:
     downstream needs more than the fact that it dies under suspension.
     """
 
-    twist: GroupElement | None
-    whitehead: str
+    __slots__ = ("twist", "whitehead")
+
+    def __init__(self, twist: GroupElement | None, whitehead: str):
+        set_field(self, "twist", twist)
+        set_field(self, "whitehead", whitehead)
 
     @property
     def resolved(self) -> bool:
@@ -76,9 +83,11 @@ class AttachingTerm:
         return f"{head} + {self.whitehead}"
 
 
-@dataclass(frozen=True)
-class AttachingMap:
-    terms: tuple[AttachingTerm, ...]
+class AttachingMap(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[AttachingTerm, ...]):
+        set_field(self, "terms", terms)
 
     @property
     def resolved(self) -> bool:
@@ -153,8 +162,7 @@ def suspension_rank(
     return min(spec.r, echelon_rank(reduced))
 
 
-@dataclass(frozen=True)
-class CofibreDescriptor:
+class CofibreDescriptor(Record):
     """The cofibre of a map from S^{n+q-1} into a wedge of q-spheres.
 
     ``sphere_count`` is how many wedge summands the map hits, ``attaching``
@@ -165,11 +173,15 @@ class CofibreDescriptor:
     pointed mapping-space factor.
     """
 
-    sphere_count: int
-    wedge_dim: int
-    cell_dim: int
-    attaching: tuple[GroupElement, ...]
-    resolved: bool
+    __slots__ = ("sphere_count", "wedge_dim", "cell_dim", "attaching", "resolved")
+
+    def __init__(self, sphere_count: int, wedge_dim: int, cell_dim: int,
+                 attaching: tuple[GroupElement, ...], resolved: bool):
+        set_field(self, "sphere_count", sphere_count)
+        set_field(self, "wedge_dim", wedge_dim)
+        set_field(self, "cell_dim", cell_dim)
+        set_field(self, "attaching", attaching)
+        set_field(self, "resolved", resolved)
 
     @property
     def is_sphere(self) -> bool:
@@ -210,12 +222,14 @@ def cofibre_space(
     return CofibreDescriptor(tbar, spec.q, cell_dim, attaching, True)
 
 
-@dataclass(frozen=True)
-class WedgeSplitting:
+class WedgeSplitting(Record):
     """Wedge of spheres plus a suspended cofibre, e.g. the suspension of M."""
 
-    spheres: tuple[tuple[int, int], ...]  # (dimension, count), descending dims
-    cofibre: CofibreDescriptor
+    __slots__ = ("spheres", "cofibre")  # spheres: (dimension, count), descending dims
+
+    def __init__(self, spheres: tuple[tuple[int, int], ...], cofibre: CofibreDescriptor):
+        set_field(self, "spheres", spheres)
+        set_field(self, "cofibre", cofibre)
 
     def __str__(self):
         parts = []

@@ -6,7 +6,7 @@ certificate, the induced action of integer matrices on tuples of
 abelian-group elements, and the Smith invariant factors of an integer
 matrix (a reduction to a diagonal followed by the gcd/lcm fold of
 ``residues.invariant_factors``).  Everything is exact; there is no
-floating point anywhere.
+floating point anywhere.  Matrices and certificates are immutable.
 
 The reductions return their unimodular transform D as a dense r x r
 matrix, so building D costs r^2 however sparse it is.  A row operation
@@ -17,34 +17,31 @@ source row, after a C-level scan of all r entries that finds them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, compress, cycle
 from typing import Sequence
 
+from ._record import Record, set_field
 from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_factors
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Dense row-major integer matrix of arbitrary-precision entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         # Store a tuple of exact ints (bools and other int-likes coerced).
         # The type scan costs about 40% of the coercing copy, so skipping
         # the copy when it would change nothing pays on large transforms.
-        entries = self.entries
         if type(entries) is not tuple or set(map(type, entries)) != {int}:
-            object.__setattr__(self, "entries", tuple(map(int, entries)))
+            entries = tuple(map(int, entries))
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -138,28 +135,25 @@ def matrix_action(a: IntMatrix, elements: Sequence) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MixedMatrix:
+class MixedMatrix(Record):
     """Matrix whose columns carry individual moduli (0 meaning a Z column).
 
     Entries are stored as canonical integer representatives per column.
     """
 
-    rows: int
-    column_moduli: tuple[Modulus, ...]
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "column_moduli", "entries")
 
-    def __post_init__(self):
-        if self.rows < 1:
+    def __init__(self, rows: int, column_moduli: tuple[Modulus, ...], entries: tuple[int, ...]):
+        if rows < 1:
             raise ValueError("matrix needs at least one row")
-        moduli = [mod.m for mod in self.column_moduli]
-        if len(self.entries) != self.rows * len(moduli):
+        moduli = [mod.m for mod in column_moduli]
+        if len(entries) != rows * len(moduli):
             raise ValueError("entry count does not match dimensions")
         # One pass to exact ints: a bool in a Z column is stored as 0 or 1.
-        canon = tuple(
-            v % m if m else int(v) for v, m in zip(self.entries, cycle(moduli))
-        )
-        object.__setattr__(self, "entries", canon)
+        canon = tuple(v % m if m else int(v) for v, m in zip(entries, cycle(moduli)))
+        set_field(self, "rows", rows)
+        set_field(self, "column_moduli", column_moduli)
+        set_field(self, "entries", canon)
 
     @property
     def cols(self) -> int:
@@ -185,8 +179,7 @@ class MixedMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(Record):
     """Witness that a unimodular transform carries a vector to (d, 0, ..., 0).
 
     ``transform`` has determinant +-1 and transform @ input is congruent,
@@ -194,22 +187,23 @@ class OrbitCertificate:
     gcd of the input representatives together with m.
     """
 
-    modulus: Modulus
-    transform: IntMatrix
-    canonical: tuple[Residue, ...]
+    __slots__ = ("modulus", "transform", "canonical")
 
-    def __post_init__(self):
-        if self.transform.det() not in (1, -1):
+    def __init__(self, modulus: Modulus, transform: IntMatrix, canonical: tuple[Residue, ...]):
+        if transform.det() not in (1, -1):
             raise ValueError("certificate transform is not unimodular")
-        if any(x.value != 0 for x in self.canonical[1:]):
+        if any(x.value != 0 for x in canonical[1:]):
             raise ValueError("canonical form must vanish past the first slot")
-        head = self.canonical[0].value
-        m = self.modulus.m
+        head = canonical[0].value
+        m = modulus.m
         if m == 0:
             if head < 0:
                 raise ValueError("canonical head must be non-negative over Z")
         elif head != 0 and m % head != 0:
             raise ValueError("canonical head must divide the modulus")
+        set_field(self, "modulus", modulus)
+        set_field(self, "transform", transform)
+        set_field(self, "canonical", canonical)
 
     @property
     def divisor(self) -> int:
@@ -412,11 +406,20 @@ def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
     return IntMatrix.from_rows(transform), MixedMatrix.from_rows(a.column_moduli, mat)
 
 
-def _leading_index(row: Sequence[int]) -> int | None:
-    for j, v in enumerate(row):
-        if v != 0:
-            return j
-    return None
+def _echelon_leads(b: IntMatrix | MixedMatrix) -> list[int] | None:
+    """Leading columns of the nonzero rows, or None if b is not in echelon form."""
+    cols, entries = b.cols, b.entries
+    leads: list[int] = []
+    seen_zero = False
+    for start in range(0, len(entries), cols):
+        lead = next(compress(range(cols), entries[start : start + cols]), None)
+        if lead is None:
+            seen_zero = True
+        elif seen_zero or (leads and lead <= leads[-1]):
+            return None
+        else:
+            leads.append(lead)
+    return leads
 
 
 def is_echelon(b: IntMatrix | MixedMatrix) -> bool:
@@ -426,28 +429,15 @@ def is_echelon(b: IntMatrix | MixedMatrix) -> bool:
     leading entries of the rows above them, and zero rows are at the
     bottom.
     """
-    leads = [_leading_index(b.row(i)) for i in range(b.rows)]
-    seen_zero = False
-    prev = -1
-    for lead in leads:
-        if lead is None:
-            seen_zero = True
-            continue
-        if seen_zero:
-            return False
-        if lead <= prev:
-            return False
-        prev = lead
-    return True
+    return _echelon_leads(b) is not None
 
 
 def echelon_rank(b: IntMatrix | MixedMatrix) -> int:
     """Number of nonzero rows of a matrix already in echelon form."""
-    if not is_echelon(b):
+    leads = _echelon_leads(b)
+    if leads is None:
         raise ValueError("matrix is not in echelon form")
-    return sum(
-        1 for i in range(b.rows) if _leading_index(b.row(i)) is not None
-    )
+    return len(leads)
 
 
 def _smallest_entry(mat: list[list[int]], k: int) -> tuple[int, int] | None:

@@ -3,25 +3,27 @@
 A modulus is a non-negative integer; modulus 0 stands for the ring of
 integers itself, so a single code path covers both Z and Z/m.  All values
 are Python ints, hence arbitrary precision.  ``invariant_factors`` puts a
-sum of finite cyclic groups into invariant-factor form.
+sum of finite cyclic groups into invariant-factor form.  Moduli and
+residues are immutable, so they hash and compare by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record, set_field
 
-@dataclass(frozen=True)
-class Modulus:
+
+class Modulus(Record):
     """A residue modulus; ``m == 0`` means "work over the integers"."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError(f"modulus must be non-negative, got {self.m}")
+    def __init__(self, m: int):
+        if m < 0:
+            raise ValueError(f"modulus must be non-negative, got {m}")
+        set_field(self, "m", m)
 
     @property
     def is_integers(self) -> bool:
@@ -38,18 +40,17 @@ class Modulus:
 INTEGERS = Modulus(0)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Record):
     """An element of Z/m (of Z when m == 0), stored canonically.
 
     Canonical storage makes residues hashable and directly comparable.
     """
 
-    modulus: Modulus
-    value: int
+    __slots__ = ("modulus", "value")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.modulus.reduce(self.value))
+    def __init__(self, modulus: Modulus, value: int):
+        set_field(self, "modulus", modulus)
+        set_field(self, "value", modulus.reduce(value))
 
     def __str__(self):
         if self.modulus.is_integers:

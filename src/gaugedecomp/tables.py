@@ -4,18 +4,18 @@ This module is the only source of topological constants in the package.
 Every shipped value carries a citation, lookups of absent keys return the
 explicit ``UNKNOWN`` marker instead of a default, and user table files are
 merged over the built-in core so values can be extended or overridden
-without code changes.
+without code changes.  Spaces, entries, images and tables are immutable.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .abelian import AbelianGroup, cardinality
 
 LIE_FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
@@ -47,37 +47,35 @@ class MissingTableError(LookupError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class Sphere:
-    dim: int
+class Sphere(Record):
+    __slots__ = ("dim",)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int):
+        if dim < 1:
             raise ValueError("sphere dimension must be >= 1")
+        set_field(self, "dim", dim)
 
     def __str__(self):
         return f"S^{self.dim}"
 
 
-@dataclass(frozen=True)
-class LieGroup:
-    family: str
-    rank: int
+class LieGroup(Record):
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in LIE_FAMILIES:
-            raise ValueError(f"unknown Lie family {self.family!r}")
-        if self.family in _EXCEPTIONAL_RANK:
-            if self.rank != _EXCEPTIONAL_RANK[self.family]:
-                raise ValueError(
-                    f"{self.family} has rank {_EXCEPTIONAL_RANK[self.family]}"
-                )
-        elif self.family == "SU" and self.rank < 2:
+    def __init__(self, family: str, rank: int):
+        if family not in LIE_FAMILIES:
+            raise ValueError(f"unknown Lie family {family!r}")
+        if family in _EXCEPTIONAL_RANK:
+            if rank != _EXCEPTIONAL_RANK[family]:
+                raise ValueError(f"{family} has rank {_EXCEPTIONAL_RANK[family]}")
+        elif family == "SU" and rank < 2:
             raise ValueError("SU(m) needs m >= 2")
-        elif self.family == "Sp" and self.rank < 1:
+        elif family == "Sp" and rank < 1:
             raise ValueError("Sp(m) needs m >= 1")
-        elif self.family == "Spin" and self.rank < 3:
+        elif family == "Spin" and rank < 3:
             raise ValueError("Spin(m) needs m >= 3")
+        set_field(self, "family", family)
+        set_field(self, "rank", rank)
 
     def __str__(self):
         if self.family in _EXCEPTIONAL_RANK:
@@ -145,29 +143,31 @@ def space_from_dict(data: dict) -> SpaceId:
     raise ValueError(f"cannot parse space id from {data!r}")
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    space: SpaceId
-    degree: int
-    group: AbelianGroup
-    citation: str
+class TableEntry(Record):
+    __slots__ = ("space", "degree", "group", "citation")
+
+    def __init__(self, space: SpaceId, degree: int, group: AbelianGroup, citation: str):
+        set_field(self, "space", space)
+        set_field(self, "degree", degree)
+        set_field(self, "group", group)
+        set_field(self, "citation", citation)
 
 
-@dataclass(frozen=True)
-class GeneratorImage:
+class GeneratorImage(Record):
     """Image of the standard twist generator inside a presented target group.
 
     ``target`` is the receiving group in invariant-factor form and
     ``coeffs`` are the image's coefficients over its generators.
     """
 
-    target: AbelianGroup
-    coeffs: tuple[int, ...]
-    citation: str
+    __slots__ = ("target", "coeffs", "citation")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.target.generator_count:
+    def __init__(self, target: AbelianGroup, coeffs: tuple[int, ...], citation: str):
+        if len(coeffs) != target.generator_count:
             raise ValueError("image coefficients do not match the target generators")
+        set_field(self, "target", target)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "citation", citation)
 
 
 class HomotopyTable:

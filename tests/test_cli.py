@@ -240,6 +240,26 @@ class TestUserTableGroupData:
         assert bad in err
 
 
+class TestSpecData:
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["decompose", "--group", "SU2", "--spec", '{"n":4.9,"q":3,"xi":[1.5,true]}',
+              "--k", "5,7"], "4.9"),
+            (["decompose", "--group", "SU2", "--spec", '{"n":4,"q":3,"xi":[1,true]}',
+              "--k", "5,7"], "True"),
+            (["splitting", "--spec", '{"n":4,"q":3,"xi":[12.7,"3"]}'], "12.7"),
+            (["classify", "--group", "SU2", "--spec", '{"n":4,"q":"3","xi":[1]}'], "'3'"),
+        ],
+    )
+    def test_non_int_spec_data_is_parse_error(self, capsys, argv, bad):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: invalid manifold spec: spec data must be integers, got {bad}\n"
+
+
 class TestCrossProcess:
 
     def test_byte_identical_across_processes(self):
@@ -256,3 +276,31 @@ class TestCrossProcess:
         ]
         assert runs[0] == runs[1]
         assert b"G^1(S^4)" in runs[0]
+
+
+class TestImportHygiene:
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        import subprocess
+        import sys
+
+        show = "import sys; print(*sorted(sys.modules))"
+        bare, cli = (
+            set(subprocess.run(
+                [sys.executable, "-c", pre + show], capture_output=True, check=True, text=True
+            ).stdout.split())
+            for pre in ("", "import gaugedecomp.cli; ")
+        )
+        added = cli - bare
+        assert "gaugedecomp.cli" in added
+        assert not added & {"dataclasses", "inspect"}
+
+    def test_no_module_imports_dataclasses(self):
+        from pathlib import Path
+
+        import gaugedecomp
+
+        for path in Path(gaugedecomp.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert "import dataclasses" not in text, path.name
+            assert "from dataclasses" not in text, path.name

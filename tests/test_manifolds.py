@@ -32,6 +32,22 @@ class TestSpec:
         assert spec == ConnectedSumSpec(4, 3, (1, 0))
         assert ConnectedSumSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("data, bad", [
+        ({"n": 4.9, "q": 3, "xi": [1]}, "4.9"),
+        ({"n": 4, "q": True, "xi": [1]}, "True"),
+        ({"n": "4", "q": 3, "xi": [1]}, "'4'"),
+        ({"n": 4, "q": 3, "xi": [1.5, True]}, "1.5"),
+        ({"n": 4, "q": 3, "xi": [1, True]}, "True"),
+        ({"n": 4, "q": 3, "xi": [12.7, "3"]}, "12.7"),
+        ({"n": 4, "q": 3, "xi": [1, "3"]}, "'3'"),
+    ])
+    def test_from_dict_rejects_non_integers(self, data, bad):
+        with pytest.raises(ValueError, match=f"spec data must be integers, got {bad}$"):
+            ConnectedSumSpec.from_dict(data)
+
+    def test_constructor_still_coerces(self):
+        assert ConnectedSumSpec(4, 3, (1, False)).xi == (1, 0)
+
 
 class TestAttachingMap:
 
