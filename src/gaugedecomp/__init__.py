@@ -41,12 +41,9 @@ from .decompose import (
     wedge_gauge_decomposition,
 )
 from .manifolds import (
-    AttachingMap,
-    AttachingTerm,
     CofibreDescriptor,
     ConnectedSumSpec,
     WedgeSplitting,
-    attaching_map,
     cofibre_space,
     suspension_rank,
     suspension_splitting,

@@ -62,9 +62,6 @@ class AbelianGroup(Record):
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.generator_count)
-
     def to_dict(self) -> dict:
         return {"free": self.free_rank, "torsion": list(self.torsion)}
 

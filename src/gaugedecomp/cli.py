@@ -6,7 +6,8 @@ two outputs never diverge.  Output is deterministic for fixed inputs and
 tables.
 
 Exit codes: 0 success; 1 domain error (unsupported case, missing table
-key, violated precondition); 2 parse error (bad JSON, bad flag values).
+key, violated precondition); 2 parse error (bad JSON, bad flag values,
+unreadable spec or table files).
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from .decompose import (
     pointed_gauge_pi,
 )
 from .manifolds import ConnectedSumSpec, suspension_splitting
-from .matrices import (
-    IntMatrix,
-    MixedMatrix,
-    orbit_reduce,
-    row_echelon_int,
-    row_echelon_mixed,
-)
+from .matrices import MixedMatrix, orbit_reduce, row_echelon_mixed
 from .residues import Modulus
 from .tables import (
     UNKNOWN,
@@ -82,7 +77,9 @@ def parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as e:
-        raise ParseError(f"{flag} expects comma-separated integers, got {text!r}") from e
+        # Echo at most 40 characters, so a huge value cannot flood stderr.
+        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
+        raise ParseError(f"{flag} expects comma-separated integers, got {got}") from e
 
 
 def parse_spec(text: str) -> ConnectedSumSpec:
@@ -90,13 +87,18 @@ def parse_spec(text: str) -> ConnectedSumSpec:
     raw = text.strip()
     if not raw.startswith("{"):
         path = Path(raw)
-        if not path.exists():
-            raise ParseError(f"spec file not found: {raw}")
-        raw = path.read_text()
+        try:
+            if not path.exists():
+                raise ParseError(f"spec file not found: {raw}")
+            raw = path.read_text()
+        except OSError as e:
+            raise ParseError(f"cannot read spec file {raw}: {e.strerror}") from e
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON spec at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # too many digits, or too deeply nested
+        raise ParseError(f"malformed JSON spec: {e}") from e
     try:
         return ConnectedSumSpec.from_dict(data)
     except (KeyError, TypeError, ValueError) as e:
@@ -108,6 +110,8 @@ def parse_matrix(text: str) -> list[list[int]]:
         rows = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON matrix at position {e.pos}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # too many digits, or too deeply nested
+        raise ParseError(f"malformed JSON matrix: {e}") from e
     if (
         not isinstance(rows, list)
         or not rows
@@ -132,7 +136,10 @@ def build_table(args):
     if args.tables:
         for chunk in args.tables:
             paths.extend(p for p in chunk.split(",") if p)
-    return load_tables(paths)
+    try:
+        return load_tables(paths)
+    except OSError as e:
+        raise ParseError(f"cannot read table file {e.filename}: {e.strerror}") from e
 
 
 def cmd_classify(args) -> dict:
@@ -234,11 +241,11 @@ def cmd_echelon(args) -> dict:
             raise ParseError("column moduli must be non-negative")
     else:
         moduli = (0,) * ncols
-    if all(m == 0 for m in moduli):
-        d, b = row_echelon_int(IntMatrix.from_rows(rows))
-    else:
-        mixed = MixedMatrix.from_rows([Modulus(m) for m in moduli], rows)
-        d, b = row_echelon_mixed(mixed)
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    if not ncols:
+        raise ValueError("matrix dimensions must be positive")
+    d, b = row_echelon_mixed(MixedMatrix.from_rows([Modulus(m) for m in moduli], rows))
     reduced = b.to_lists()
     return {
         "moduli": list(moduli),

@@ -2,9 +2,10 @@
 
 A manifold here is a connected sum of total spaces of S^q-bundles over
 S^n admitting cross sections, each summand given by one integer twist.
-The module computes the attaching-map data of the top cell, the matrix of
-suspended twist images, the echelon rank that controls the suspension
-splitting, and a descriptor for the cofibre space that survives as an
+The module computes the matrix of suspended twist images, the echelon
+rank that controls the suspension splitting, and a descriptor for the
+cofibre space, which carries the echelon-normalized top-cell attaching
+images (flagged unresolved when the tables lack them) and survives as an
 opaque mapping-space factor downstream.
 
 Built-in table data covers (n, q) = (4, 3), where the twist image in
@@ -14,8 +15,6 @@ and the descriptors computed from them are immutable.
 """
 
 from __future__ import annotations
-
-import json
 
 from ._record import Record, set_field
 from .abelian import GroupElement
@@ -53,72 +52,6 @@ class ConnectedSumSpec(Record):
             if type(v) is not int:
                 raise ValueError(f"spec data must be integers, got {v!r}")
         return cls(n, q, xi)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConnectedSumSpec":
-        return cls.from_dict(json.loads(text))
-
-
-class AttachingTerm(Record):
-    """One summand's contribution: twist image plus a Whitehead product.
-
-    ``twist`` is the image of the summand's twist in pi_{n+q-1}(S^q), or
-    None when the tables carry no image data for this (n, q).  The
-    Whitehead product [i_n, i_q] is kept as an opaque marker; nothing
-    downstream needs more than the fact that it dies under suspension.
-    """
-
-    __slots__ = ("twist", "whitehead")
-
-    def __init__(self, twist: GroupElement | None, whitehead: str):
-        set_field(self, "twist", twist)
-        set_field(self, "whitehead", whitehead)
-
-    @property
-    def resolved(self) -> bool:
-        return self.twist is not None
-
-    def __str__(self):
-        head = str(self.twist) if self.resolved else "J(xi) [unresolved]"
-        return f"{head} + {self.whitehead}"
-
-
-class AttachingMap(Record):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[AttachingTerm, ...]):
-        set_field(self, "terms", terms)
-
-    @property
-    def resolved(self) -> bool:
-        return all(t.resolved for t in self.terms)
-
-    def __str__(self):
-        return " + ".join(f"({t})" for t in self.terms)
-
-
-def attaching_map(
-    spec: ConnectedSumSpec, table: HomotopyTable | None = None
-) -> AttachingMap:
-    """Top-cell attaching data, one term per summand.
-
-    For (4, 3) the built-in tables give twist images xi mod 12 in Z/12.
-    Missing image data flags the terms unresolved instead of raising.
-    """
-    table = _require_table(table)
-    marker = f"[i_{spec.n}, i_{spec.q}]"
-    image = table.attaching_image(spec.n, spec.q)
-    if image is None:
-        terms = tuple(AttachingTerm(None, marker) for _ in spec.xi)
-    else:
-        terms = tuple(
-            AttachingTerm(
-                GroupElement(image.target, tuple(v * c for c in image.coeffs)),
-                marker,
-            )
-            for v in spec.xi
-        )
-    return AttachingMap(terms)
 
 
 def _image_matrix(spec: ConnectedSumSpec, image) -> MixedMatrix:

@@ -104,20 +104,17 @@ def Spin(m: int) -> LieGroup:
     return LieGroup("Spin", m)
 
 
+_ALIASES = {Sp(1): SU(2), Spin(3): SU(2), Spin(5): Sp(2), Spin(6): SU(4)}
+_PI6_NONTRIVIAL = (SU(2), SU(3), G2)
+
+
 def canonical_space(space: SpaceId) -> SpaceId:
     """Fold the classical low-rank isomorphisms onto one representative.
 
     Sp(1) and Spin(3) are SU(2); Spin(5) is Sp(2); Spin(6) is SU(4).
     Spin(4) is not simple and is left untouched.
     """
-    if isinstance(space, LieGroup):
-        if space == LieGroup("Sp", 1) or space == LieGroup("Spin", 3):
-            return SU(2)
-        if space == LieGroup("Spin", 5):
-            return Sp(2)
-        if space == LieGroup("Spin", 6):
-            return SU(4)
-    return space
+    return _ALIASES.get(space, space)
 
 
 def is_simply_connected_simple_compact(space: SpaceId) -> bool:
@@ -319,7 +316,7 @@ def pi6_order(space: SpaceId, table: HomotopyTable | None = None) -> int:
         if size == 0:
             raise ValueError(f"table claims infinite pi_6({g}); it must be finite")
         return size
-    if g in (SU(2), SU(3), G2):
+    if g in _PI6_NONTRIVIAL:
         raise MissingTableError(f"pi_6({g})")
     return 1
 

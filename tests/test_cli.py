@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from gaugedecomp import cli
 from gaugedecomp.cli import main, parse_group, parse_space
-from gaugedecomp import LieGroup, Sphere
+from gaugedecomp import LieGroup, Modulus, Sphere
 
 SPEC = '{"n":4,"q":3,"xi":[1,0]}'
 
@@ -138,6 +139,30 @@ class TestEchelon:
         assert code == 0
         assert json.loads(out)["echelon"] == [[1, 1], [0, 2]]
 
+    def test_integer_matrix_takes_the_mixed_kernel(self, capsys, monkeypatch):
+        seen = []
+        kernel = cli.row_echelon_mixed
+
+        def recording(a):
+            seen.append(a.column_moduli)
+            return kernel(a)
+
+        monkeypatch.setattr(cli, "row_echelon_mixed", recording)
+        code, out, _ = run(capsys, "echelon", "[[2,6],[4,0],[3,9]]", "--json")
+        assert code == 0
+        assert json.loads(out)["echelon"] == [[1, 3], [0, 12], [0, 0]]
+        assert seen == [(Modulus(0), Modulus(0))]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["[[1,2],[3]]"], "ragged rows"),
+        (["[[1,2],[3]]", "--m", "0,12"], "ragged rows"),
+        (["[[]]"], "matrix dimensions must be positive"),
+        (["[[],[]]"], "matrix dimensions must be positive"),
+    ])
+    def test_shape_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "echelon", *argv)
+        assert (code, out, err) == (1, "", f"domain error: {message}\n")
+
 
 class TestPi:
 
@@ -189,6 +214,60 @@ class TestExitCodes:
             capsys, "classify", "--group", "SO3", "--spec", SPEC
         )
         assert code == 2
+
+
+class TestUnreadablePaths:
+
+    def test_missing_table_file(self, capsys, tmp_path):
+        path = tmp_path / "does-not-exist.json"
+        code, out, err = run(capsys, "tables", "--tables", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: cannot read table file {path}: No such file or directory\n"
+
+    def test_table_directory_in_environment(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GAUGEDECOMP_TABLES", str(tmp_path))
+        code, out, err = run(capsys, "tables")
+        assert (code, out) == (2, "")
+        assert err == f"parse error: cannot read table file {tmp_path}: Is a directory\n"
+
+    def test_spec_directory(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "decompose", "--group", "SU2", "--spec", str(tmp_path), "--k", "5,7"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"parse error: cannot read spec file {tmp_path}: Is a directory\n"
+
+
+class TestHugeInput:
+
+    DIGITS = "1" * 4301  # one digit past the interpreter's default limit
+
+    def test_long_integer_in_spec(self, capsys):
+        spec = '{"n":4,"q":3,"xi":[%s]}' % self.DIGITS
+        code, out, err = run(capsys, "decompose", "--group", "SU2", "--spec", spec, "--k", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: malformed JSON spec: Exceeds the limit (4300 digits)")
+
+    def test_long_integer_in_matrix(self, capsys):
+        code, out, err = run(capsys, "echelon", f"[[{self.DIGITS}]]")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: malformed JSON matrix: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("argv", [
+        ["echelon", "[" * 5000],
+        ["splitting", "--spec", '{"n":' + "[" * 5000],
+    ])
+    def test_deep_nesting(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: malformed JSON") and "recursion" in err
+
+    def test_bad_integer_list_echo_is_bounded(self, capsys):
+        value = "1" * 5000 + ",x"
+        code, out, err = run(capsys, "orbit-reduce", "--m", "12", "--x", value)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert err == f"parse error: --x expects comma-separated integers, got '{'1' * 40}'... (5002 chars)\n"
 
 
 class TestDeterminism:

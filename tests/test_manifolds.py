@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from gaugedecomp import (
     ConnectedSumSpec,
     MissingTableError,
     Modulus,
-    attaching_map,
     cofibre_space,
     echelon_rank,
     gcd_mod,
@@ -15,6 +15,7 @@ from gaugedecomp import (
     suspension_splitting,
     twisting_matrix,
 )
+from gaugedecomp.tables import table_from_data
 from oracles import elementary_orbit
 
 
@@ -28,7 +29,7 @@ class TestSpec:
         assert ConnectedSumSpec(4, 3, (1, 0)).r == 2
 
     def test_json_roundtrip(self):
-        spec = ConnectedSumSpec.from_json('{"n":4,"q":3,"xi":[1,0]}')
+        spec = ConnectedSumSpec.from_dict(json.loads('{"n":4,"q":3,"xi":[1,0]}'))
         assert spec == ConnectedSumSpec(4, 3, (1, 0))
         assert ConnectedSumSpec.from_dict(spec.to_dict()) == spec
 
@@ -47,28 +48,6 @@ class TestSpec:
 
     def test_constructor_still_coerces(self):
         assert ConnectedSumSpec(4, 3, (1, False)).xi == (1, 0)
-
-
-class TestAttachingMap:
-
-    def test_unit_and_zero_twists(self):
-        amap = attaching_map(ConnectedSumSpec(4, 3, (1, 0)))
-        assert amap.resolved
-        assert [t.twist.coeffs for t in amap.terms] == [(1,), (0,)]
-        assert all(t.whitehead == "[i_4, i_3]" for t in amap.terms)
-
-    def test_full_twist_is_trivial(self):
-        amap = attaching_map(ConnectedSumSpec(4, 3, (12,)))
-        assert amap.terms[0].twist.is_zero
-
-    def test_single_summand(self):
-        amap = attaching_map(ConnectedSumSpec(4, 3, (5,)))
-        assert len(amap.terms) == 1
-
-    def test_unresolved_without_tables(self):
-        amap = attaching_map(ConnectedSumSpec(6, 5, (1, 2)))
-        assert not amap.resolved
-        assert all(t.twist is None for t in amap.terms)
 
 
 class TestTwistingMatrix:
@@ -151,6 +130,16 @@ class TestCofibre:
         assert desc.label() == "S^7"
         assert desc.label(suspended=True) == "S^8"
         assert desc.resolved
+
+    def test_unresolved_without_attaching_image(self):
+        # Rank data alone fixes the sphere count; the attaching images
+        # stay unresolved instead of defaulting.
+        table = table_from_data({"suspended_attaching_images": [
+            {"n": 6, "q": 5, "target": {"free": 0, "torsion": [2]},
+             "coeffs": [1], "citation": "test"}
+        ]})
+        desc = cofibre_space(ConnectedSumSpec(6, 5, (1, 2)), table)
+        assert (desc.sphere_count, desc.attaching, desc.resolved) == (1, (), False)
 
 
 class TestSplitting:

@@ -11,8 +11,6 @@ import pytest
 
 from gaugedecomp import (
     AbelianGroup,
-    AttachingMap,
-    AttachingTerm,
     BundleClassification,
     BundleFormula,
     ClassificationCase,
@@ -43,7 +41,6 @@ Z12 = AbelianGroup(0, (12,))
 UNIT = GroupElement(Z12, (1,))
 SU2 = LieGroup("SU", 2)
 CASE = ClassificationCase("SU_stable", "")
-TERM = AttachingTerm(UNIT, "[i_4, i_3]")
 COFIBRE = CofibreDescriptor(1, 3, 7, (UNIT,), True)
 LEVEL = GaugeLevel(12, 1)
 CERT = orbit_reduce(Modulus(12), (6, 4))
@@ -62,8 +59,6 @@ CASES = [
     (OrbitCertificate, {"modulus": CERT.modulus, "transform": CERT.transform,
                         "canonical": CERT.canonical}),
     (ConnectedSumSpec, {"n": 4, "q": 3, "xi": (1, 0)}),
-    (AttachingTerm, {"twist": UNIT, "whitehead": "[i_4, i_3]"}),
-    (AttachingMap, {"terms": (TERM, TERM)}),
     (CofibreDescriptor, {"sphere_count": 1, "wedge_dim": 3, "cell_dim": 7,
                          "attaching": (UNIT,), "resolved": True}),
     (WedgeSplitting, {"spheres": ((5, 2), (4, 1)), "cofibre": COFIBRE}),

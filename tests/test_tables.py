@@ -7,6 +7,7 @@ from gaugedecomp import (
     E8,
     G2,
     AbelianGroup,
+    ConnectedSumSpec,
     HomotopyTable,
     LieGroup,
     MissingTableError,
@@ -20,6 +21,7 @@ from gaugedecomp import (
     canonical_space,
     cyclic,
     default_table,
+    gauge_decomposition,
     is_simply_connected_simple_compact,
     load_tables,
     pi6_order,
@@ -58,6 +60,26 @@ class TestSpaceIds:
         assert canonical_space(Spin(6)) == SU(4)
         assert canonical_space(Spin(7)) == Spin(7)
         assert canonical_space(Sphere(3)) == Sphere(3)
+
+    def test_folding_and_pi6_construct_no_groups(self, monkeypatch):
+        spaces = [Sp(1), Spin(3), Spin(4), Spin(5), Spin(6), Spin(7), SU(3), G2, Sphere(3)]
+        groups = [g for g in spaces if is_simply_connected_simple_compact(g)]
+        spec = ConnectedSumSpec(4, 3, (1, 0))
+        su2 = SU(2)
+        built = []
+        init = LieGroup.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LieGroup, "__init__", counting_init)
+        for space in spaces:
+            canonical_space(space)
+        for g in groups:
+            pi6_order(g, CORE)
+        gauge_decomposition(su2, spec, (5, 7), CORE)
+        assert built == []
 
     def test_simplicity(self):
         assert is_simply_connected_simple_compact(SU(2))
