@@ -1,9 +1,11 @@
-"""Immutable value records: fields listed in ``__slots__``, set once by ``__init__``.
+"""Immutable value records, and the exact reading of the user JSON they come from.
 
+A record's fields are listed in ``__slots__`` and set once by ``__init__``.
 Equality, hashing, repr and copying go over the fields in slot order, as for
 a frozen dataclass, but no code is generated when a record class is created.
 """
 
+import json
 from operator import attrgetter
 
 set_field = object.__setattr__  # how a record's own __init__ sets its fields
@@ -35,3 +37,52 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class ParseError(Exception):
+    """Malformed user input; maps to exit code 2."""
+
+
+def decode_json(text: str | bytes, what: str):
+    """Parsed JSON ``text``; any fault in it is a ParseError naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed JSON {what} at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # too many digits, too deep, or not UTF-8
+        raise ParseError(f"malformed JSON {what}: {e}") from e
+
+
+_REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def exact(value, kind: type, where: str):
+    """``value`` if its type is exactly ``kind``, else a ValueError naming ``where``."""
+    if type(value) is not kind:  # the echo is cut, so a huge value cannot flood stderr
+        raise ValueError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r:.40}")
+    return value
+
+
+def read_field(data: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """``data[key]`` if its JSON type is exactly ``kind``: a float is never
+    truncated, a bool is no integer and a number no string.  If ``key`` is
+    absent, ``default`` or, without one, a ValueError naming the field.
+    """
+    value = data.get(key, _REQUIRED)
+    if type(value) is kind:
+        return value
+    if value is not _REQUIRED:
+        return exact(value, kind, f"{where}.{key}")
+    if default is _REQUIRED:
+        raise ValueError(f"{where} is missing the field {key!r}")
+    return default
+
+
+def read_ints(data: dict, key: str, where: str, default=_REQUIRED) -> tuple[int, ...]:
+    """``data[key]`` as a tuple of exact integers, read like ``read_field``."""
+    values = tuple(read_field(data, key, list, where, default))
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            exact(v, int, f"{where}.{key}[{i}]")
+    return values

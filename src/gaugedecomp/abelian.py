@@ -29,7 +29,7 @@ class AbelianGroup(Record):
     def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        torsion = tuple(int(s) for s in torsion)
+        torsion = tuple(torsion)
         for s in torsion:
             if s < 2:
                 raise ValueError(f"torsion orders must be >= 2, got {s}")
@@ -49,7 +49,7 @@ class AbelianGroup(Record):
         and they are folded into a divisibility chain by gcd/lcm pairs
         (``residues.invariant_factors``), whose unit entries are dropped.
         """
-        orders = [int(s) for s in orders]
+        orders = list(orders)
         free = free_rank + orders.count(0)
         chain = invariant_factors(s for s in orders if s)
         return cls(free, tuple(s for s in chain if s > 1))
@@ -64,18 +64,6 @@ class AbelianGroup(Record):
 
     def to_dict(self) -> dict:
         return {"free": self.free_rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AbelianGroup":
-        """Group from ``{"free": rank, "torsion": [orders]}``, all exact ints.
-
-        Floats, bools and strings are rejected rather than truncated.
-        """
-        free, torsion = data.get("free", 0), tuple(data.get("torsion", ()))
-        for v in (free, *torsion):
-            if type(v) is not int:
-                raise ValueError(f"group data must be integers, got {v!r}")
-        return cls.from_orders(free, torsion)
 
     def __str__(self):
         parts = []

@@ -18,6 +18,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._record import ParseError, decode_json
 from .classify import classify_conditions, principal_bundles
 from .decompose import (
     gauge_decomposition,
@@ -38,10 +39,6 @@ from .tables import (
 )
 
 TABLES_ENV_VAR = "GAUGEDECOMP_TABLES"
-
-
-class ParseError(Exception):
-    """Malformed user input; maps to exit code 2."""
 
 
 def parse_group(text: str) -> LieGroup:
@@ -73,13 +70,18 @@ def parse_space(text: str) -> SpaceId:
     return parse_group(text)
 
 
-def parse_ints(text: str, flag: str) -> tuple[int, ...]:
+def parse_ints(text: str, flag: str, single: bool = False) -> tuple[int, ...]:
+    """The comma-separated integers of an integer flag; just one if ``single``."""
     try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as e:
-        # Echo at most 40 characters, so a huge value cannot flood stderr.
-        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
-        raise ParseError(f"{flag} expects comma-separated integers, got {got}") from e
+        values = tuple(int(v) for v in text.split(","))
+        if not single or len(values) == 1:
+            return values
+    except ValueError:
+        pass
+    # Echo at most 40 characters, so a huge value cannot flood stderr.
+    got = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
+    want = "one integer" if single else "comma-separated integers"
+    raise ParseError(f"{flag} expects {want}, got {got}")
 
 
 def parse_spec(text: str) -> ConnectedSumSpec:
@@ -90,28 +92,18 @@ def parse_spec(text: str) -> ConnectedSumSpec:
         try:
             if not path.exists():
                 raise ParseError(f"spec file not found: {raw}")
-            raw = path.read_text()
+            raw = path.read_bytes()
         except OSError as e:
             raise ParseError(f"cannot read spec file {raw}: {e.strerror}") from e
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON spec at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except (ValueError, RecursionError) as e:  # too many digits, or too deeply nested
-        raise ParseError(f"malformed JSON spec: {e}") from e
+    data = decode_json(raw, "spec")
     try:
         return ConnectedSumSpec.from_dict(data)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise ParseError(f"invalid manifold spec: {e}") from e
 
 
 def parse_matrix(text: str) -> list[list[int]]:
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON matrix at position {e.pos}: {e.msg}") from e
-    except (ValueError, RecursionError) as e:  # too many digits, or too deeply nested
-        raise ParseError(f"malformed JSON matrix: {e}") from e
+    rows = decode_json(text, "matrix")
     if (
         not isinstance(rows, list)
         or not rows
@@ -122,20 +114,10 @@ def parse_matrix(text: str) -> list[list[int]]:
     return rows
 
 
-def group_json(g) -> dict | str:
-    if g is UNKNOWN:
-        return "Unknown"
-    return g.to_dict()
-
-
 def build_table(args):
-    paths = []
-    env = os.environ.get(TABLES_ENV_VAR)
-    if env:
-        paths.extend(p for p in env.split(os.pathsep) if p)
-    if args.tables:
-        for chunk in args.tables:
-            paths.extend(p for p in chunk.split(",") if p)
+    paths = [p for p in os.environ.get(TABLES_ENV_VAR, "").split(os.pathsep) if p]
+    for chunk in args.tables:
+        paths.extend(p for p in chunk.split(",") if p)
     try:
         return load_tables(paths)
     except OSError as e:
@@ -159,7 +141,7 @@ def cmd_classify(args) -> dict:
     else:
         payload["bundles"] = {
             "terms": [
-                {"group": group_json(g), "multiplicity": m}
+                {"group": "Unknown" if g is UNKNOWN else g.to_dict(), "multiplicity": m}
                 for g, m in result.formula.terms
             ],
             "residual": result.formula.residual,
@@ -202,28 +184,29 @@ def cmd_pi(args) -> dict:
     table = build_table(args)
     group = parse_group(args.group)
     spec = parse_spec(args.spec)
-    result = pointed_gauge_pi(group, spec, args.j, table)
-    payload = result.to_dict()
-    payload["j"] = args.j
+    (j,) = parse_ints(args.j, "--j", single=True)
+    payload = pointed_gauge_pi(group, spec, j, table).to_dict()
+    payload["j"] = j
     return payload
 
 
 def cmd_orbit_reduce(args) -> dict:
-    if args.m is None or args.m < 0:
+    (m,) = parse_ints(args.m, "--m", single=True)
+    if m < 0:
         raise ParseError("--m must be a non-negative integer")
     xs = parse_ints(args.x, "--x")
-    cert = orbit_reduce(Modulus(args.m), xs)
+    cert = orbit_reduce(Modulus(m), xs)
     canonical = [res.value for res in cert.canonical]
     det = cert.transform.det()
     return {
-        "modulus": args.m,
+        "modulus": m,
         "canonical": canonical,
         "gcd": cert.divisor,
         "det": det,
         "transform": cert.transform.to_lists(),
         "pretty": (
             f"({', '.join(str(v) for v in xs)}) -> ({', '.join(str(v) for v in canonical)})"
-            f" mod {args.m}, gcd {cert.divisor}, det {det}"
+            f" mod {m}, gcd {cert.divisor}, det {det}"
         ),
     }
 
@@ -234,9 +217,7 @@ def cmd_echelon(args) -> dict:
     if args.m is not None:
         moduli = parse_ints(args.m, "--m")
         if len(moduli) != ncols:
-            raise ParseError(
-                f"--m lists {len(moduli)} moduli but the matrix has {ncols} columns"
-            )
+            raise ParseError(f"--m lists {len(moduli)} moduli but the matrix has {ncols} columns")
         if any(m < 0 for m in moduli):
             raise ParseError("column moduli must be non-negative")
     else:
@@ -261,38 +242,20 @@ def cmd_tables(args) -> dict:
     if args.lookup:
         head, _, deg = args.lookup.rpartition(",")
         if not head or not deg.lstrip("-").isdigit():
-            raise ParseError(
-                "--lookup expects SPACE,DEGREE, e.g. sphere:3,6 or SU2,6"
-            )
+            raise ParseError("--lookup expects SPACE,DEGREE, e.g. sphere:3,6 or SU2,6")
         space = parse_space(head)
         entry = table.entry(space, int(deg))
+        payload = {"space": space_to_dict(space), "degree": int(deg), "group": "Unknown"}
         if entry is None:
-            return {
-                "space": space_to_dict(space),
-                "degree": int(deg),
-                "group": "Unknown",
-                "pretty": f"pi_{deg}({space}) = Unknown (not in tables)",
-            }
-        return {
-            "space": space_to_dict(space),
-            "degree": int(deg),
-            "group": entry.group.to_dict(),
-            "citation": entry.citation,
-            "pretty": f"pi_{deg}({space}) = {entry.group}  [{entry.citation}]",
-        }
+            payload["pretty"] = f"pi_{deg}({space}) = Unknown (not in tables)"
+        else:
+            payload.update(group=entry.group.to_dict(), citation=entry.citation)
+            payload["pretty"] = f"pi_{deg}({space}) = {entry.group}  [{entry.citation}]"
+        return payload
     entries = table.entries()
-    listing = [
-        {
-            "space": space_to_dict(e.space),
-            "degree": e.degree,
-            "group": e.group.to_dict(),
-            "citation": e.citation,
-        }
-        for e in entries
-    ]
-    pretty = "\n".join(
-        f"pi_{e.degree}({e.space}) = {e.group}" for e in entries
-    )
+    listing = [{"space": space_to_dict(e.space), "degree": e.degree,
+                "group": e.group.to_dict(), "citation": e.citation} for e in entries]
+    pretty = "\n".join(f"pi_{e.degree}({e.space}) = {e.group}" for e in entries)
     return {"entries": listing, "count": len(listing), "pretty": pretty}
 
 
@@ -320,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=False, group=False):
-        p.add_argument("--tables", action="append", default=[],
-                       help="comma-separated table JSON files (repeatable)")
+    def common(p, spec=False, group=False, tables=False):
+        if spec or tables:  # every command that reads tables
+            p.add_argument("--tables", action="append", default=[],
+                           help="comma-separated table JSON files (repeatable)")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if group:
             p.add_argument("--group", required=True, help="structure group, e.g. SU2")
@@ -348,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="homotopy groups of the pointed gauge group")
     common(p, spec=True, group=True)
-    p.add_argument("--j", type=int, required=True, help="homotopy degree")
+    p.add_argument("--j", required=True, help="homotopy degree")
     p.set_defaults(func=cmd_pi)
 
     p = sub.add_parser("orbit-reduce", help="canonical form of a residue vector")
     common(p)
-    p.add_argument("--m", type=int, required=True, help="modulus (0 = integers)")
+    p.add_argument("--m", required=True, help="modulus (0 = integers)")
     p.add_argument("--x", required=True, help="vector entries, e.g. 6,4")
     p.set_defaults(func=cmd_orbit_reduce)
 
@@ -364,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_echelon)
 
     p = sub.add_parser("tables", help="inspect the homotopy tables")
-    common(p)
+    common(p, tables=True)
     p.add_argument("--lookup", help="SPACE,DEGREE, e.g. sphere:3,6 or SU2,6")
     p.set_defaults(func=cmd_tables)
 

@@ -16,7 +16,7 @@ and the descriptors computed from them are immutable.
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record, exact, read_field, read_ints, set_field
 from .abelian import GroupElement
 from .matrices import MixedMatrix, echelon_rank, row_echelon_mixed
 from .residues import Modulus
@@ -42,16 +42,12 @@ class ConnectedSumSpec(Record):
     def r(self) -> int:
         return len(self.xi)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "q": self.q, "xi": list(self.xi)}
-
     @classmethod
-    def from_dict(cls, data: dict) -> "ConnectedSumSpec":
-        n, q, xi = data["n"], data["q"], tuple(data["xi"])
-        for v in (n, q, *xi):
-            if type(v) is not int:
-                raise ValueError(f"spec data must be integers, got {v!r}")
-        return cls(n, q, xi)
+    def from_dict(cls, data) -> "ConnectedSumSpec":
+        """Spec from ``{"n": n, "q": q, "xi": [twists]}``, all exact integers."""
+        exact(data, dict, "spec")
+        n, q = read_field(data, "n", int, "spec"), read_field(data, "q", int, "spec")
+        return cls(n, q, read_ints(data, "xi", "spec"))
 
 
 def _image_matrix(spec: ConnectedSumSpec, image) -> MixedMatrix:

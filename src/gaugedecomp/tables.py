@@ -9,13 +9,12 @@ without code changes.  Spaces, entries, images and tables are immutable.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ._record import Record, set_field
+from ._record import Record, decode_json, exact, read_field, read_ints, set_field
 from .abelian import AbelianGroup, cardinality
 
 LIE_FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
@@ -131,13 +130,12 @@ def space_to_dict(space: SpaceId) -> dict:
     return {"lie": {"family": space.family, "rank": space.rank}}
 
 
-def space_from_dict(data: dict) -> SpaceId:
+def space_from_dict(data: dict, where: str = "space") -> SpaceId:
     if "sphere" in data:
-        return Sphere(int(data["sphere"]))
-    if "lie" in data:
-        lie = data["lie"]
-        return LieGroup(str(lie["family"]), int(lie["rank"]))
-    raise ValueError(f"cannot parse space id from {data!r}")
+        return Sphere(read_field(data, "sphere", int, where))
+    lie = read_field(data, "lie", dict, where)
+    where += ".lie"
+    return LieGroup(read_field(lie, "family", str, where), read_field(lie, "rank", int, where))
 
 
 class TableEntry(Record):
@@ -168,27 +166,16 @@ class GeneratorImage(Record):
 
 
 class HomotopyTable:
-    """Immutable store of homotopy groups and connecting-map orders."""
+    """Immutable store of the table-file sections, each a dict of items by key."""
 
-    def __init__(
-        self,
-        entries: Iterable[TableEntry] = (),
-        connecting: dict[tuple[SpaceId, int], tuple[int, str]] | None = None,
-        attaching_images: dict[tuple[int, int], GeneratorImage] | None = None,
-        suspended_images: dict[tuple[int, int], GeneratorImage] | None = None,
-    ):
-        self._entries: dict[tuple[SpaceId, int], TableEntry] = {}
-        for e in entries:
-            self._entries[(e.space, e.degree)] = e
-        self._connecting = dict(connecting or {})
-        self._attaching_images = dict(attaching_images or {})
-        self._suspended_images = dict(suspended_images or {})
+    def __init__(self, sections: dict[str, dict] | None = None):
+        self._sections = {name: dict((sections or {}).get(name, ())) for name in _SECTIONS}
 
     def entries(self) -> list[TableEntry]:
-        return sorted(self._entries.values(), key=lambda e: (str(e.space), e.degree))
+        return sorted(self._sections["entries"].values(), key=lambda e: (str(e.space), e.degree))
 
     def entry(self, space: SpaceId, degree: int) -> TableEntry | None:
-        return self._entries.get((canonical_space(space), degree))
+        return self._sections["entries"].get((canonical_space(space), degree))
 
     def lookup_pi(self, space: SpaceId, degree: int) -> AbelianGroup | UnknownValue:
         """The homotopy group pi_degree(space), or UNKNOWN when not shipped."""
@@ -197,93 +184,105 @@ class HomotopyTable:
 
     def connecting_order(self, space: SpaceId, n: int) -> int | UnknownValue:
         """Order of the connecting map of the evaluation fibration over S^n."""
-        got = self._connecting.get((canonical_space(space), n))
+        got = self._sections["connecting_orders"].get((canonical_space(space), n))
         return got[0] if got is not None else UNKNOWN
 
     def connecting_citation(self, space: SpaceId, n: int) -> str | None:
-        got = self._connecting.get((canonical_space(space), n))
+        got = self._sections["connecting_orders"].get((canonical_space(space), n))
         return got[1] if got is not None else None
 
     def attaching_image(self, n: int, q: int) -> GeneratorImage | None:
         """Twist-generator image in pi_{n+q-1}(S^q), if declared."""
-        return self._attaching_images.get((n, q))
+        return self._sections["attaching_images"].get((n, q))
 
     def suspended_image(self, n: int, q: int) -> GeneratorImage | None:
         """Suspended twist-generator image in pi_{n+q}(S^{q+1}), if declared."""
-        return self._suspended_images.get((n, q))
+        return self._sections["suspended_attaching_images"].get((n, q))
 
     def merged_over(self, base: "HomotopyTable") -> "HomotopyTable":
         """New table: this table's values taking precedence over ``base``."""
-        out = HomotopyTable()
-        out._entries = {**base._entries, **self._entries}
-        out._connecting = {**base._connecting, **self._connecting}
-        out._attaching_images = {**base._attaching_images, **self._attaching_images}
-        out._suspended_images = {**base._suspended_images, **self._suspended_images}
-        return out
-
-
-def _image_from_dict(item: dict) -> tuple[tuple[int, int], GeneratorImage]:
-    key = (int(item["n"]), int(item["q"]))
-    image = GeneratorImage(
-        AbelianGroup.from_dict(item["target"]),
-        tuple(int(c) for c in item["coeffs"]),
-        str(item["citation"]),
-    )
-    return key, image
-
-
-def table_from_data(data: dict | list) -> HomotopyTable:
-    """Build a table from parsed JSON; duplicate keys within the data error."""
-    if isinstance(data, list):
-        data = {"entries": data}
-    entries = {}
-    for item in data.get("entries", ()):
-        space = space_from_dict(item["space"])
-        degree = int(item["degree"])
-        key = (space, degree)
-        if key in entries:
-            raise ValueError(f"duplicate table key: pi_{degree}({space})")
-        entries[key] = TableEntry(
-            space, degree, AbelianGroup.from_dict(item["group"]), str(item["citation"])
+        return HomotopyTable(
+            {name: {**base._sections[name], **own} for name, own in self._sections.items()}
         )
-    connecting = {}
-    for item in data.get("connecting_orders", ()):
-        space = space_from_dict({"lie": item["lie"]})
-        key = (space, int(item["n"]))
-        if key in connecting:
-            raise ValueError(f"duplicate connecting order for {space} over S^{item['n']}")
-        order = int(item["order"])
-        if order < 1:
-            raise ValueError(
-                f"connecting order for {space} over S^{item['n']} must be a "
-                f"positive integer (it is always finite), got {order}"
-            )
-        connecting[key] = (order, str(item["citation"]))
-    attaching = {}
-    for item in data.get("attaching_images", ()):
-        key, image = _image_from_dict(item)
-        if key in attaching:
-            raise ValueError(f"duplicate attaching image for (n, q)={key}")
-        attaching[key] = image
-    suspended = {}
-    for item in data.get("suspended_attaching_images", ()):
-        key, image = _image_from_dict(item)
-        if key in suspended:
-            raise ValueError(f"duplicate suspended attaching image for (n, q)={key}")
-        suspended[key] = image
-    return HomotopyTable(entries.values(), connecting, attaching, suspended)
+
+
+def _group(item: dict, key: str, where: str) -> AbelianGroup:
+    """``{"free": rank, "torsion": [orders]}``, both optional, as invariant factors."""
+    data = read_field(item, key, dict, where)
+    where += f".{key}"
+    return AbelianGroup.from_orders(
+        read_field(data, "free", int, where, 0), read_ints(data, "torsion", where, ())
+    )
+
+
+def _entry(item: dict, where: str):
+    space = space_from_dict(read_field(item, "space", dict, where), f"{where}.space")
+    degree = read_field(item, "degree", int, where)
+    citation = read_field(item, "citation", str, where)
+    return (space, degree), TableEntry(space, degree, _group(item, "group", where), citation)
+
+
+def _connecting_order(item: dict, where: str):
+    space = space_from_dict({"lie": read_field(item, "lie", dict, where)}, where)
+    n, order = read_field(item, "n", int, where), read_field(item, "order", int, where)
+    if order < 1:  # a connecting map always has finite order
+        raise ValueError(f"{where}.order must be a positive integer, got {order}")
+    return (space, n), (order, read_field(item, "citation", str, where))
+
+
+def _image(item: dict, where: str):
+    key = (read_field(item, "n", int, where), read_field(item, "q", int, where))
+    target, coeffs = _group(item, "target", where), read_ints(item, "coeffs", where)
+    return key, GeneratorImage(target, coeffs, read_field(item, "citation", str, where))
+
+
+# The table-file format: each section and the parser of one item to (key, value).
+_SECTIONS = {
+    "entries": _entry,
+    "connecting_orders": _connecting_order,
+    "attaching_images": _image,
+    "suspended_attaching_images": _image,
+}
+
+
+def table_from_data(data) -> HomotopyTable:
+    """Build a table from parsed table-file JSON; a bare array is the entries.
+
+    A wrong shape or JSON type, an unknown section or a repeated key is a
+    ValueError naming the field; no value is coerced.
+    """
+    if type(data) is list:
+        data = {"entries": data}
+    exact(data, dict, "table")
+    sections = {}
+    for name, items in data.items():
+        parse = _SECTIONS.get(name)
+        if parse is None:
+            raise ValueError(f"table has an unknown section {name!r}")
+        section = sections[name] = {}
+        for i, item in enumerate(exact(items, list, name)):
+            where = f"{name}[{i}]"
+            key, value = parse(exact(item, dict, where), where)
+            if key in section:
+                raise ValueError(f"{where} repeats the key of an earlier item")
+            section[key] = value
+    return HomotopyTable(sections)
 
 
 def load_table_file(path: str | Path) -> HomotopyTable:
-    with open(path) as f:
-        return table_from_data(json.load(f))
+    """A user table file: invalid JSON is a ParseError, wrong content a ValueError."""
+    where = f"table file {path}"
+    try:
+        return table_from_data(decode_json(Path(path).read_bytes(), where))
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 @lru_cache(maxsize=1)
 def default_table() -> HomotopyTable:
     """The built-in core table shipped with the package."""
-    text = resources.files("gaugedecomp").joinpath("data/core_tables.json").read_text()
-    return table_from_data(json.loads(text))
+    text = resources.files("gaugedecomp").joinpath("data/core_tables.json").read_bytes()
+    return table_from_data(decode_json(text, "core table"))
 
 
 def load_tables(paths: Sequence[str | Path] = ()) -> HomotopyTable:

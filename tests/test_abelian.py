@@ -1,16 +1,19 @@
 import random
+import re
 
 import pytest
 
 from gaugedecomp import (
     AbelianGroup,
     GroupElement,
+    Sphere,
     TRIVIAL_GROUP,
     Z,
     cardinality,
     cyclic,
     direct_sum,
 )
+from gaugedecomp.tables import table_from_data
 
 
 class TestGroupConstruction:
@@ -93,9 +96,15 @@ class TestCardinality:
 
 
 class TestFromDict:
+    """Group data ``{"free": rank, "torsion": [orders]}``, read as a table file reads it."""
+
+    @staticmethod
+    def read(group):
+        entry = {"space": {"sphere": 9}, "degree": 9, "group": group, "citation": "test"}
+        return table_from_data([entry]).lookup_pi(Sphere(9), 9)
 
     def test_int_data(self):
-        assert AbelianGroup.from_dict({"free": 1, "torsion": [6, 4]}) == AbelianGroup(1, (2, 12))
+        assert self.read({"free": 1, "torsion": [6, 4]}) == AbelianGroup(1, (2, 12))
 
     @pytest.mark.parametrize(
         "data, bad",
@@ -108,5 +117,6 @@ class TestFromDict:
         ],
     )
     def test_non_int_data_is_rejected_by_value(self, data, bad):
-        with pytest.raises(ValueError, match=bad):
-            AbelianGroup.from_dict(data)
+        field = r"entries\[0\]\.group\.(free|torsion\[\d\])"
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(bad)}$"):
+            self.read(data)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -218,6 +219,16 @@ class TestExitCodes:
 
 class TestUnreadablePaths:
 
+    @pytest.mark.parametrize("argv", [
+        ["echelon", "[[1,2]]"],
+        ["orbit-reduce", "--m", "12", "--x", "6,4"],
+    ])
+    def test_commands_without_tables_take_no_tables_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--tables", "/nonexistent.json"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --tables" in capsys.readouterr().err
+
     def test_missing_table_file(self, capsys, tmp_path):
         path = tmp_path / "does-not-exist.json"
         code, out, err = run(capsys, "tables", "--tables", str(path))
@@ -269,6 +280,15 @@ class TestHugeInput:
         assert len(err.encode()) < 200
         assert err == f"parse error: --x expects comma-separated integers, got '{'1' * 40}'... (5002 chars)\n"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["pi", "--group", "SU2", "--spec", SPEC, "--j"], "--j"),
+        (["orbit-reduce", "--x", "1,2", "--m"], "--m"),
+    ])
+    def test_bad_single_integer_echo_is_bounded(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "9" * 5000 + "x")
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {flag} expects one integer, got '{'9' * 40}'... (5001 chars)\n"
+
 
 class TestDeterminism:
 
@@ -319,6 +339,64 @@ class TestUserTableGroupData:
         assert bad in err
 
 
+def _table(section, **fields):
+    """A one-item table file whose item has ``fields`` changed."""
+    items = {
+        "entries": {"space": {"sphere": 3}, "degree": 6,
+                    "group": {"free": 0, "torsion": [12]}, "citation": "c"},
+        "connecting_orders": {"lie": {"family": "SU", "rank": 3}, "n": 6, "order": 60,
+                              "citation": "c"},
+        "attaching_images": {"n": 4, "q": 3, "target": {"free": 0, "torsion": [12]},
+                             "coeffs": [1], "citation": "c"},
+    }
+    return json.dumps({section: [{**items[section], **fields}]})
+
+
+class TestTableFileFaults:
+    """A table file of the wrong content exits 1, one that is not JSON exits 2."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "entries[0] must be an object, got 1"),
+        ('"x"', "table must be an object, got 'x'"),
+        ("5", "table must be an object, got 5"),
+        ('{"entries": 5}', "entries must be an array, got 5"),
+        (_table("entries", space={"lie": {"family": "SU", "rank": [2]}}),
+         "entries[0].space.lie.rank must be an integer, got [2]"),
+        (_table("entries", group={"torsion": 7}),
+         "entries[0].group.torsion must be an array, got 7"),
+        (_table("entries", degree=4.9), "entries[0].degree must be an integer, got 4.9"),
+        (_table("connecting_orders", order="12"),
+         "connecting_orders[0].order must be an integer, got '12'"),
+        (_table("attaching_images", coeffs=[1.5]),
+         "attaching_images[0].coeffs[0] must be an integer, got 1.5"),
+        (_table("attaching_images", n=True), "attaching_images[0].n must be an integer, got True"),
+        (_table("entries", citation=5), "entries[0].citation must be a string, got 5"),
+        ('{"entries": [{"space": {"sphere": 3}, "degree": 6, "group": {}}]}',
+         "entries[0] is missing the field 'citation'"),
+    ], ids=["list-of-int", "string", "number", "section-not-array", "rank-list", "torsion-int",
+            "degree-float", "order-string", "coeff-float", "n-bool", "citation-int",
+            "citation-missing"])
+    def test_wrong_content_is_domain_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "tables", "--tables", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"domain error: table file {path}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 3000, "maximum recursion depth exceeded"),
+        ("[" + "7" * 4400 + "]", "Exceeds the limit (4300 digits)"),
+        ('{"entries": [', " at line 1 column 14: Expecting value"),
+    ], ids=["deep", "long-int", "truncated"])
+    def test_invalid_json_is_parse_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "tables", "--tables", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: malformed JSON table file {path}")
+        assert message in err and "Traceback" not in err
+
+
 class TestSpecData:
 
     @pytest.mark.parametrize(
@@ -336,7 +414,9 @@ class TestSpecData:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"parse error: invalid manifold spec: spec data must be integers, got {bad}\n"
+        field = r"spec\.(n|q|xi\[\d\])"
+        message = rf"parse error: invalid manifold spec: {field} must be an integer, got {re.escape(bad)}\n"
+        assert re.fullmatch(message, err)
 
 
 class TestCrossProcess:

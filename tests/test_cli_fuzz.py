@@ -3,10 +3,11 @@
 Each example is one argv for a real subcommand with its required flags,
 so it gets past argparse's structure, while the values in it are drawn
 from bad JSON, floats, bools, strings, ragged and empty matrices, unknown
-groups, over-long integers and spec or table paths that are missing or
-are directories.  Whatever the input, ``main`` must answer with exit code
-0, 1 or 2 and print no traceback.  argparse itself rejects a bad ``--j``
-or ``--m`` by raising ``SystemExit(2)``, which is that exit code, not an
+groups, over-long integers and spec or table paths that are missing, are
+directories or hold JSON of the wrong shape.  Whatever the input, ``main``
+must answer with exit code 0, 1 or 2 and print no traceback.  A bad ``--j``
+or ``--m`` is a parse error like any other integer flag; argparse's own
+usage errors raise ``SystemExit(2)``, which is that exit code, not an
 escaped error.  Sizes are bounded and examples derandomized, so every run
 checks the same inputs in well under two seconds.
 """
@@ -16,6 +17,7 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +28,22 @@ LONG_INT = "7" * 4301  # one digit past the interpreter's default limit
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
+# Files of the wrong shape or of invalid JSON, written under a temporary
+# directory that stands for ``{bad}`` in an argv.
+BAD_FILES = {
+    "list-of-int.json": "[1]",
+    "string.json": '"x"',
+    "rank-list.json": json.dumps({"entries": [{
+        "space": {"lie": {"family": "SU", "rank": [2]}}, "degree": 3,
+        "group": {"torsion": 7}, "citation": None}]}),
+    "order-string.json": json.dumps({"connecting_orders": [{
+        "lie": {"family": "SU", "rank": 2}, "n": 4, "order": "12", "citation": "c"}]}),
+    "deep.json": "[" * 3000,
+    "long-int.json": "[" + LONG_INT + "]",
+}
+
 # Spec and table paths: missing, a directory, too long a name, a file of the
-# wrong kind, and (for tables) a real table file.
+# wrong kind or shape, and (for tables) a real table file.
 paths = st.sampled_from([
     "/does-not-exist/spec.json",
     "does-not-exist.json",
@@ -35,6 +51,7 @@ paths = st.sampled_from([
     "p" * 300,
     str(TESTS / "data" / "cli_corpus.json"),
     str(TESTS / "data" / "cli_table.json"),
+    *(f"{{bad}}/{name}" for name in BAD_FILES),
 ])
 scalars = st.one_of(
     st.integers(-40, 40),
@@ -77,8 +94,10 @@ table_flags = st.one_of(st.just([]), paths.map(lambda p: ["--tables", p]))
 json_flag = st.sampled_from([[], ["--json"]])
 
 
-def _command(name, *parts):
-    return st.tuples(*parts, table_flags, json_flag).map(
+def _command(name, *parts, tables=True):
+    """Argv of subcommand ``name``; ``tables`` if it reads table files."""
+    flags = (table_flags,) if tables else ()
+    return st.tuples(*parts, *flags, json_flag).map(
         lambda t: [name] + [a for part in t for a in part]
     )
 
@@ -96,9 +115,9 @@ argvs = st.one_of(
     _command("pi", _flag("--group", groups), _flag("--spec", specs),
              _flag("--j", st.sampled_from(["0", "3", "-1", "x", "1.5"]))),
     _command("orbit-reduce", _flag("--m", st.sampled_from(["12", "0", "-3", "x"])),
-             _flag("--x", int_lists)),
+             _flag("--x", int_lists), tables=False),
     _command("echelon", matrices.map(lambda m: [m]),
-             st.one_of(st.just([]), _flag("--m", int_lists))),
+             st.one_of(st.just([]), _flag("--m", int_lists)), tables=False),
     _command("tables", st.one_of(st.just([]), _flag("--lookup", st.sampled_from(
         ["sphere:3,6", "SU2,6", "sphere:x,6", "sphere:0,3", "SO3,6", ",6", "SU2,", "SU2,-1"]
     )))),
@@ -106,9 +125,18 @@ argvs = st.one_of(
 )
 
 
+@pytest.fixture(scope="session")
+def bad_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bad-files")
+    for name, text in BAD_FILES.items():
+        (path / name).write_text(text)
+    return str(path)
+
+
 @PROFILE
 @given(argv=argvs)
-def test_malformed_argv_exits_cleanly(argv):
+def test_malformed_argv_exits_cleanly(bad_dir, argv):
+    argv = [arg.replace("{bad}", bad_dir) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
