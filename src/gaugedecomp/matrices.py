@@ -8,10 +8,10 @@ matrix (a reduction to a diagonal followed by the gcd/lcm fold of
 ``residues.invariant_factors``).  Everything is exact; there is no
 floating point anywhere.  Matrices and certificates are immutable.
 
-The reductions return their unimodular transform D as a dense r x r
-matrix, so building D costs r^2 however sparse it is.  A row operation
-on D does Python-level work only on the support (nonzero entries) of its
-source row, after a C-level scan of all r entries that finds them.
+The reductions keep their unimodular transform D as sparse rows, so a
+row operation on D does Python-level work proportional to the support of
+its source row.  D is returned as a dense r x r matrix, built once at the
+end a row at a time: r^2 cells filled at C level.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class IntMatrix(Record):
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         # Store a tuple of exact ints (bools and other int-likes coerced).
         # The type scan costs about 40% of the coercing copy, so skipping
-        # the copy when it would change nothing pays on large transforms.
+        # the copy when it would change nothing pays on large matrices.
         if type(entries) is not tuple or set(map(type, entries)) != {int}:
             entries = tuple(map(int, entries))
         set_field(self, "rows", rows)
@@ -52,10 +52,6 @@ class IntMatrix(Record):
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(chain.from_iterable(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -226,10 +222,9 @@ class _Reducer:
     Holds the working matrix (entries canonical per column modulus) and the
     accumulated integer transform; every operation is elementary, so the
     transform always has determinant +-1.  The column moduli are kept as
-    plain ints (0 for a Z column).  The transform is kept as dense rows
-    starting from the identity; a row addition updates it only on the
-    columns where the source row is nonzero, found by a C-level scan of
-    that row, so its Python-level cost is the row's support.
+    plain ints (0 for a Z column).  Each transform row is a dict
+    {column: coefficient} starting at {i: 1}, so a row addition walks only
+    the source row's support and a swap or negation touches one row object.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], moduli: Sequence[Modulus]):
@@ -237,10 +232,7 @@ class _Reducer:
         self.mat = [
             [v % m if m else v for m, v in zip(self.moduli, row)] for row in rows
         ]
-        n = len(self.mat)
-        self.transform = [[0] * n for _ in range(n)]
-        for i, row in enumerate(self.transform):
-            row[i] = 1
+        self.transform = [{i: 1} for i in range(len(self.mat))]
 
     def add(self, dst: int, src: int, c: int) -> None:
         if c == 0 or dst == src:
@@ -249,19 +241,36 @@ class _Reducer:
         for j, m in enumerate(self.moduli):
             v = row_d[j] + c * row_s[j]
             row_d[j] = v % m if m else v
-        t_d, t_s = self.transform[dst], self.transform[src]
-        for j in compress(range(len(t_s)), t_s):
-            t_d[j] += c * t_s[j]
+        t_d = self.transform[dst]
+        for j, v in self.transform[src].items():
+            t_d[j] = t_d.get(j, 0) + c * v
 
     def swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
         self.mat[i], self.mat[j] = self.mat[j], self.mat[i]
         self.transform[i], self.transform[j] = self.transform[j], self.transform[i]
 
     def negate(self, i: int) -> None:
         self.mat[i] = [-v % m if m else -v for m, v in zip(self.moduli, self.mat[i])]
-        self.transform[i] = [-v for v in self.transform[i]]
+        self.transform[i] = {j: -v for j, v in self.transform[i].items()}
+
+
+def _dense_transform(rows: list[dict[int, int]]) -> IntMatrix:
+    """D from its sparse rows, a row at a time.  Unwritten cells are the literal 0,
+    so checking the written values stands in for the constructor's type scan."""
+    n = len(rows)
+    def dense(row: dict[int, int]) -> list[int]:
+        cells = [0] * n
+        for j, v in row.items():
+            cells[j] = v
+        return cells
+    entries = tuple(chain.from_iterable(map(dense, rows)))
+    if set(map(type, chain.from_iterable(map(dict.values, rows)))) != {int}:
+        return IntMatrix(n, n, entries)
+    d = object.__new__(IntMatrix)
+    set_field(d, "rows", n)
+    set_field(d, "cols", n)
+    set_field(d, "entries", entries)
+    return d
 
 
 def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
@@ -320,7 +329,7 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
 
 def _echelon(
     moduli: Sequence[Modulus], rows: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[IntMatrix, list[list[int]]]:
     red = _Reducer(rows, moduli)
     nrows = len(red.mat)
     top = 0
@@ -337,7 +346,7 @@ def _echelon(
         for i in range(p):
             q = red.mat[i][col] // d
             red.add(i, p, -q)
-    return red.transform, red.mat
+    return _dense_transform(red.transform), red.mat
 
 
 def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertificate:
@@ -362,7 +371,7 @@ def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertifica
             values.append(v)
     red = _Reducer([[v] for v in values], (modulus,))
     _place_pivot(red, 0, 0, r)
-    transform = IntMatrix.from_rows(red.transform)
+    transform = _dense_transform(red.transform)
     canonical = tuple(Residue(modulus, red.mat[i][0]) for i in range(r))
     return OrbitCertificate(modulus, transform, canonical)
 
@@ -388,9 +397,8 @@ def row_echelon_int(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (D, B) with det(D) in {+1, -1}, D @ a == B, pivots positive and
     entries above each pivot reduced into [0, pivot).
     """
-    moduli = (INTEGERS,) * a.cols
-    transform, mat = _echelon(moduli, a.to_lists())
-    return IntMatrix.from_rows(transform), IntMatrix.from_rows(mat)
+    d, mat = _echelon((INTEGERS,) * a.cols, a.to_lists())
+    return d, IntMatrix.from_rows(mat)
 
 
 def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
@@ -400,10 +408,8 @@ def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
     column's residue ring.  Pivots of multi-row segments equal the gcd of
     the remaining column segment together with the column modulus.
     """
-    if a.cols == 0:
-        return IntMatrix.identity(a.rows), a
-    transform, mat = _echelon(a.column_moduli, a.to_lists())
-    return IntMatrix.from_rows(transform), MixedMatrix.from_rows(a.column_moduli, mat)
+    d, mat = _echelon(a.column_moduli, a.to_lists())
+    return d, MixedMatrix.from_rows(a.column_moduli, mat)
 
 
 def _echelon_leads(b: IntMatrix | MixedMatrix) -> list[int] | None:

@@ -130,12 +130,21 @@ def space_to_dict(space: SpaceId) -> dict:
     return {"lie": {"family": space.family, "rank": space.rank}}
 
 
+def _named(where: str, make, *args):
+    """``make(*args)``; a ValueError it raises names ``where``."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 def space_from_dict(data: dict, where: str = "space") -> SpaceId:
     if "sphere" in data:
-        return Sphere(read_field(data, "sphere", int, where))
+        return _named(where, Sphere, read_field(data, "sphere", int, where))
     lie = read_field(data, "lie", dict, where)
     where += ".lie"
-    return LieGroup(read_field(lie, "family", str, where), read_field(lie, "rank", int, where))
+    family, rank = read_field(lie, "family", str, where), read_field(lie, "rank", int, where)
+    return _named(where, LieGroup, family, rank)
 
 
 class TableEntry(Record):
@@ -210,9 +219,8 @@ def _group(item: dict, key: str, where: str) -> AbelianGroup:
     """``{"free": rank, "torsion": [orders]}``, both optional, as invariant factors."""
     data = read_field(item, key, dict, where)
     where += f".{key}"
-    return AbelianGroup.from_orders(
-        read_field(data, "free", int, where, 0), read_ints(data, "torsion", where, ())
-    )
+    free, torsion = read_field(data, "free", int, where, 0), read_ints(data, "torsion", where, ())
+    return _named(where, AbelianGroup.from_orders, free, torsion)
 
 
 def _entry(item: dict, where: str):
@@ -233,7 +241,8 @@ def _connecting_order(item: dict, where: str):
 def _image(item: dict, where: str):
     key = (read_field(item, "n", int, where), read_field(item, "q", int, where))
     target, coeffs = _group(item, "target", where), read_ints(item, "coeffs", where)
-    return key, GeneratorImage(target, coeffs, read_field(item, "citation", str, where))
+    citation = read_field(item, "citation", str, where)
+    return key, _named(f"{where}.coeffs", GeneratorImage, target, coeffs, citation)
 
 
 # The table-file format: each section and the parser of one item to (key, value).

@@ -42,7 +42,7 @@ def _induced_maps(m: int, r: int) -> list[IntMatrix]:
     """The two generators and their closed-form inverses: I - E for the
     shear I + E, and the transpose for the cycle (a signed permutation)."""
     shear, cycle = unimodular_generators(r)
-    identity = IntMatrix.identity(r)
+    identity = diagonal([1] * r)
     shear_inv = IntMatrix(r, r, tuple(2 * a - b for a, b in zip(identity.entries, shear.entries)))
     cycle_inv = IntMatrix.from_rows([list(col) for col in zip(*cycle.to_lists())])
     return [shear, cycle, shear_inv, cycle_inv]

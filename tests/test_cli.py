@@ -373,9 +373,16 @@ class TestTableFileFaults:
         (_table("entries", citation=5), "entries[0].citation must be a string, got 5"),
         ('{"entries": [{"space": {"sphere": 3}, "degree": 6, "group": {}}]}',
          "entries[0] is missing the field 'citation'"),
+        # Right JSON types, wrong values: the record's own check, named by field.
+        (_table("entries", space={"sphere": 0}), "entries[0].space: sphere dimension must be >= 1"),
+        (_table("attaching_images", coeffs=[1, 1]),
+         "attaching_images[0].coeffs: image coefficients do not match the target generators"),
+        (_table("entries", space={"lie": {"family": "XX", "rank": 2}}),
+         "entries[0].space.lie: unknown Lie family 'XX'"),
+        (_table("entries", group={"free": -1}), "entries[0].group: free rank must be non-negative"),
     ], ids=["list-of-int", "string", "number", "section-not-array", "rank-list", "torsion-int",
             "degree-float", "order-string", "coeff-float", "n-bool", "citation-int",
-            "citation-missing"])
+            "citation-missing", "sphere-zero", "coeff-count", "lie-family", "free-negative"])
     def test_wrong_content_is_domain_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "t.json"
         path.write_text(text)

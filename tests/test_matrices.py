@@ -67,7 +67,7 @@ class TestOrbitReduce:
     def test_example_zero_vector(self):
         cert = orbit_reduce(Modulus(0), (0, 0, 0))
         assert [r.value for r in cert.canonical] == [0, 0, 0]
-        assert cert.transform.to_lists() == IntMatrix.identity(3).to_lists()
+        assert cert.transform.to_lists() == diagonal([1] * 3).to_lists()
 
     def test_example_mod5(self):
         cert = orbit_reduce(Modulus(5), (3, 0))
@@ -106,7 +106,7 @@ class TestSameOrbit:
 class TestEchelonInt:
 
     def test_identity(self):
-        a = IntMatrix.identity(3)
+        a = diagonal([1] * 3)
         d, b = row_echelon_int(a)
         assert b.to_lists() == a.to_lists()
         assert d.to_lists() == a.to_lists()
@@ -123,7 +123,7 @@ class TestEchelonInt:
         a = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
         d, b = row_echelon_int(a)
         assert b.to_lists() == a.to_lists()
-        assert d.to_lists() == IntMatrix.identity(2).to_lists()
+        assert d.to_lists() == diagonal([1] * 2).to_lists()
 
     def test_random_soundness(self):
         rng = random.Random(42)
@@ -167,7 +167,12 @@ class TestEchelonMixed:
         a = MixedMatrix.from_rows([Modulus(4), Modulus(0)], [[0, 0], [0, 0]])
         d, b = row_echelon_mixed(a)
         assert b.to_lists() == a.to_lists()
-        assert d.to_lists() == IntMatrix.identity(2).to_lists()
+        assert d.to_lists() == diagonal([1] * 2).to_lists()
+        # Without columns there is nothing to reduce: D = I and B = A.
+        no_columns = MixedMatrix.from_rows([], [[], [], []])
+        d, b = row_echelon_mixed(no_columns)
+        assert d == diagonal([1] * 3)
+        assert b == no_columns
 
     def test_random_soundness(self):
         rng = random.Random(43)
@@ -190,7 +195,7 @@ class TestEchelonRank:
 
     def test_examples(self):
         assert echelon_rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
-        assert echelon_rank(IntMatrix.identity(3)) == 3
+        assert echelon_rank(diagonal([1] * 3)) == 3
         mixed = MixedMatrix.from_rows(
             [Modulus(0), Modulus(12)], [[2, 6], [0, 0]]
         )
@@ -219,7 +224,7 @@ class TestMatrixAction:
     def test_identity(self):
         h = cyclic(12)
         v = (GroupElement(h, (3,)), GroupElement(h, (7,)))
-        out = matrix_action(IntMatrix.identity(2), v)
+        out = matrix_action(diagonal([1] * 2), v)
         assert out == v
 
     def test_cycle_negates(self):
@@ -234,7 +239,7 @@ class TestMatrixAction:
     def test_size_mismatch(self):
         h = cyclic(4)
         with pytest.raises(ValueError):
-            matrix_action(IntMatrix.identity(3), (GroupElement(h, (1,)),))
+            matrix_action(diagonal([1] * 3), (GroupElement(h, (1,)),))
 
     def test_composition_law(self):
         rng = random.Random(45)

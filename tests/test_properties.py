@@ -87,7 +87,8 @@ def echelon_inputs(draw):
     else:
         nrows = ncols = draw(st.integers(1, 5))
     moduli = draw(st.lists(st.sampled_from([0, 12]), min_size=ncols, max_size=ncols))
-    cell = st.integers(-(2**20), 2**20)
+    # Bools are int-likes but not exact ints: D must still hold only ints.
+    cell = st.one_of(st.integers(-(2**20), 2**20), st.booleans())
     rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
     return moduli, rows
 
@@ -101,15 +102,20 @@ def test_echelon_transform_is_a_unimodular_certificate(case):
     else:
         d, b = row_echelon_int(IntMatrix.from_rows(rows))
     assert product_mod(d, rows, moduli) == b.to_lists()
+    assert set(map(type, d.entries)) == {int}
     assert d.det() in (1, -1)
     assert is_echelon(b)
 
 
 @settings(PROFILE, max_examples=40)
-@given(st.sampled_from([0, 1, 2, 12, 60, 97]), st.lists(st.integers(-500, 500), min_size=2, max_size=30))
+@given(
+    st.sampled_from([0, 1, 2, 12, 60, 97]),
+    st.lists(st.one_of(st.integers(-500, 500), st.booleans()), min_size=2, max_size=30),
+)
 def test_orbit_certificates_verify(m, x):
     cert = orbit_reduce(Modulus(m), x)
     assert cert.verify(x)
+    assert set(map(type, cert.transform.entries)) == {int}
     assert math.gcd(m, cert.canonical[0].value) == math.gcd(m, *x)
 
 
