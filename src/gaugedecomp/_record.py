@@ -43,6 +43,21 @@ class ParseError(Exception):
     """Malformed user input; maps to exit code 2."""
 
 
+MAX_FILE_BYTES = 1 << 20  # the core table is 31 KB; a spec with 10**4 64-bit twists ~210 KB
+
+
+def read_file(path, what: str) -> bytes:
+    """The bytes of a user file; unreadable or over MAX_FILE_BYTES is a ParseError."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read(MAX_FILE_BYTES + 1)  # bounded, so /dev/zero cannot exhaust memory
+    except OSError as e:
+        raise ParseError(f"cannot read {what} {path}: {e.strerror}") from e
+    if len(data) > MAX_FILE_BYTES:
+        raise ParseError(f"{what} {path} is larger than {MAX_FILE_BYTES} bytes")
+    return data
+
+
 def decode_json(text: str | bytes, what: str):
     """Parsed JSON ``text``; any fault in it is a ParseError naming ``what``."""
     try:

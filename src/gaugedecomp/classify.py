@@ -71,13 +71,11 @@ def classify_conditions(
     """
     if not isinstance(group, LieGroup):
         return ClassificationCase(UNSUPPORTED, "structure group must be a Lie group")
-    if (
-        spec.n == 4
-        and spec.q == 3
-        and is_simply_connected_simple_compact(group)
-        and pi6_coprime(group, spec.xi, table)
-    ):
-        return ClassificationCase(DIM7_PI6_COPRIME)
+    seven = (spec.n, spec.q) == (4, 3) and is_simply_connected_simple_compact(group)
+    if seven:
+        d = math.gcd(pi6_order(group, table), *spec.xi)
+        if d == 1:
+            return ClassificationCase(DIM7_PI6_COPRIME)
     sc = stable_condition(group, spec.n, spec.q)
     if sc == "SU":
         return ClassificationCase(SU_STABLE)
@@ -88,8 +86,7 @@ def classify_conditions(
         return ClassificationCase(STABLE_WEDGE)
     if group.family == "Sp" and 4 * group.rank >= s - 2:
         return ClassificationCase(STABLE_WEDGE)
-    if spec.n == 4 and spec.q == 3 and is_simply_connected_simple_compact(group):
-        d = math.gcd(pi6_order(group, table), *spec.xi)
+    if seven:
         return ClassificationCase(
             UNSUPPORTED,
             f"gcd(|pi_6({group})|, xi) = {d} != 1 and no stable clause applies",

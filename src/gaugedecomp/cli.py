@@ -7,7 +7,7 @@ tables.
 
 Exit codes: 0 success; 1 domain error (unsupported case, missing table
 key, violated precondition); 2 parse error (bad JSON, bad flag values,
-unreadable spec or table files).
+spec or table files that cannot be read or exceed 1 MiB).
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
-from ._record import ParseError, decode_json
+from ._record import ParseError, decode_json, read_file
 from .classify import classify_conditions, principal_bundles
 from .decompose import (
     gauge_decomposition,
@@ -66,7 +65,10 @@ def parse_space(text: str) -> SpaceId:
         tail = text.split(":", 1)[1]
         if not tail.isdigit():
             raise ParseError(f"cannot parse sphere dimension from {text!r}")
-        return Sphere(int(tail))
+        try:
+            return Sphere(int(tail))
+        except ValueError as e:
+            raise ParseError(str(e)) from e
     return parse_group(text)
 
 
@@ -88,13 +90,7 @@ def parse_spec(text: str) -> ConnectedSumSpec:
     """Manifold spec from inline JSON or a file path."""
     raw = text.strip()
     if not raw.startswith("{"):
-        path = Path(raw)
-        try:
-            if not path.exists():
-                raise ParseError(f"spec file not found: {raw}")
-            raw = path.read_bytes()
-        except OSError as e:
-            raise ParseError(f"cannot read spec file {raw}: {e.strerror}") from e
+        raw = read_file(raw, "spec file")
     data = decode_json(raw, "spec")
     try:
         return ConnectedSumSpec.from_dict(data)
@@ -118,10 +114,7 @@ def build_table(args):
     paths = [p for p in os.environ.get(TABLES_ENV_VAR, "").split(os.pathsep) if p]
     for chunk in args.tables:
         paths.extend(p for p in chunk.split(",") if p)
-    try:
-        return load_tables(paths)
-    except OSError as e:
-        raise ParseError(f"cannot read table file {e.filename}: {e.strerror}") from e
+    return load_tables(paths)
 
 
 def cmd_classify(args) -> dict:

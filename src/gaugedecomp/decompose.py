@@ -55,9 +55,9 @@ class GaugeLevel(Record):
         set_field(self, "k_gcd", k_gcd)
 
     @classmethod
-    def make(cls, order: int | UnknownValue | None, ks: Sequence[int]) -> "GaugeLevel":
+    def make(cls, order: int | UnknownValue, ks: Sequence[int]) -> "GaugeLevel":
         g = math.gcd(*ks) if ks else 0
-        if order is UNKNOWN or order is None:
+        if order is UNKNOWN:
             return cls(None, g)
         return cls(order, math.gcd(order, g))
 
@@ -197,6 +197,26 @@ def _require_decomposable(group, spec, table) -> HomotopyTable:
     return table
 
 
+def _check_length(ks: Sequence[int], r: int) -> None:
+    if len(ks) != r:
+        raise ValueError(f"expected {r} classifying integers, got {len(ks)}")
+
+
+def _wedge_part(group, n: int, r: int, ks: tuple[int, ...], table: HomotopyTable) -> list:
+    """The wedge lemma: G^k(S^n) at the level of ``ks``, times (Omega^n G)^(r-1)."""
+    level = GaugeLevel.make(table.connecting_order(group, n), ks)
+    return [(SphereGauge(group, n, level), 1), (LoopSpace(group, n), r - 1)]
+
+
+def _cofibre_part(group, spec: ConnectedSumSpec, table: HomotopyTable) -> list:
+    """(Omega^q G)^(r - rank) times Map*(Y_F, G), for a spec past the gate."""
+    tbar = suspension_rank(spec, table)
+    return [
+        (LoopSpace(group, spec.q), spec.r - tbar),
+        (MapStar(cofibre_space(spec, table), group), 1),
+    ]
+
+
 def wedge_gauge_decomposition(
     group: SpaceId,
     n: int,
@@ -213,11 +233,8 @@ def wedge_gauge_decomposition(
         raise ValueError(f"structure group must be a Lie group, got {group}")
     if r < 1:
         raise ValueError("need r >= 1 spheres")
-    if len(ks) != r:
-        raise ValueError(f"expected {r} classifying integers, got {len(ks)}")
-    order = _require_table(table).connecting_order(group, n)
-    gauge = SphereGauge(group, n, GaugeLevel.make(order, tuple(ks)))
-    return ProductExpr.build([(gauge, 1), (LoopSpace(group, n), r - 1)])
+    _check_length(ks, r)
+    return ProductExpr.build(_wedge_part(group, n, r, tuple(ks), _require_table(table)))
 
 
 def gauge_decomposition(
@@ -234,21 +251,10 @@ def gauge_decomposition(
     yields a decomposition, for any number of summands.
     """
     ks = tuple(ks)
-    if len(ks) != spec.r:
-        raise ValueError(
-            f"expected {spec.r} classifying integers, got {len(ks)}"
-        )
+    _check_length(ks, spec.r)
     table = _require_decomposable(group, spec, table)
-    tbar = suspension_rank(spec, table)
-    order = table.connecting_order(group, spec.n)
-    return ProductExpr.build(
-        [
-            (SphereGauge(group, spec.n, GaugeLevel.make(order, ks)), 1),
-            (LoopSpace(group, spec.n), spec.r - 1),
-            (LoopSpace(group, spec.q), spec.r - tbar),
-            (MapStar(cofibre_space(spec, table), group), 1),
-        ]
-    )
+    wedge = _wedge_part(group, spec.n, spec.r, ks, table)
+    return ProductExpr.build(wedge + _cofibre_part(group, spec, table))
 
 
 def pointed_gauge_decomposition(
@@ -262,17 +268,11 @@ def pointed_gauge_decomposition(
     r copies of Omega^n G, r - rank copies of Omega^q G, and the pointed
     mapping space on the cofibre descriptor.
     """
-    if ks is not None and len(ks) != spec.r:
-        raise ValueError(f"expected {spec.r} classifying integers, got {len(ks)}")
+    if ks is not None:
+        _check_length(ks, spec.r)
     table = _require_decomposable(group, spec, table)
-    tbar = suspension_rank(spec, table)
-    return ProductExpr.build(
-        [
-            (LoopSpace(group, spec.n), spec.r),
-            (LoopSpace(group, spec.q), spec.r - tbar),
-            (MapStar(cofibre_space(spec, table), group), 1),
-        ]
-    )
+    loops = [(LoopSpace(group, spec.n), spec.r)]
+    return ProductExpr.build(loops + _cofibre_part(group, spec, table))
 
 
 class EquivalenceVerdict(Record):
@@ -297,23 +297,31 @@ def gauge_equivalent(
     Equivalent on equal levels and Unknown otherwise.
     """
     ks, ks2 = tuple(ks), tuple(ks2)
-    if len(ks) != spec.r or len(ks2) != spec.r:
-        raise ValueError(f"classifying tuples must have length {spec.r}")
+    _check_length(ks, spec.r)
+    _check_length(ks2, spec.r)
     table = _require_decomposable(group, spec, table)
     order = table.connecting_order(group, spec.n)
-    su2_branch = (
-        (spec.n, spec.q) == (4, 3)
-        and canonical_space(group) == SU(2)
-        and order is not UNKNOWN
-    )
-    if su2_branch:
-        g1 = math.gcd(order, *ks)
-        g2 = math.gcd(order, *ks2)
+    l1, l2 = GaugeLevel.make(order, ks), GaugeLevel.make(order, ks2)
+    g1, g2 = l1.k_gcd, l2.k_gcd
+    if not l1.known:
         if g1 == g2:
             return EquivalenceVerdict(
                 "Equivalent",
+                f"gcd(K) = gcd(K') = {g1}, so the levels agree for every value of "
+                f"the (unknown) connecting-map order",
+            )
+        return EquivalenceVerdict(
+            "Unknown",
+            f"the connecting-map order for {group} over S^{spec.n} is not in the "
+            f"tables and gcd(K) = {g1} != {g2} = gcd(K')",
+        )
+    if (spec.n, spec.q) == (4, 3) and canonical_space(group) == SU(2):
+        if g1 == g2:
+            citation = table.connecting_citation(group, 4)
+            return EquivalenceVerdict(
+                "Equivalent",
                 f"gcd({order}, K) = gcd({order}, K') = {g1}; the connecting map "
-                f"over S^4 for SU(2) has order {order} (Kono 1991) and the "
+                f"over S^4 for SU(2) has order {order} ({citation}) and the "
                 f"decomposition depends on K only through this gcd",
             )
         return EquivalenceVerdict(
@@ -322,32 +330,16 @@ def gauge_equivalent(
             f"sphere-gauge factor has order equal to that gcd, so the gauge "
             f"groups have non-isomorphic pi_2",
         )
-    if order is not UNKNOWN:
-        l1 = math.gcd(order, *ks)
-        l2 = math.gcd(order, *ks2)
-        if l1 == l2:
-            return EquivalenceVerdict(
-                "Equivalent",
-                f"l(K) = l(K') = {l1}; the decomposition depends on K only "
-                f"through l(K)",
-            )
-        return EquivalenceVerdict(
-            "Unknown",
-            f"l(K) = {l1} and l(K') = {l2} differ; no inequivalence criterion "
-            f"is available for {group} over S^{spec.n}",
-        )
-    g1 = math.gcd(*ks)
-    g2 = math.gcd(*ks2)
     if g1 == g2:
         return EquivalenceVerdict(
             "Equivalent",
-            f"gcd(K) = gcd(K') = {g1}, so the levels agree for every value of "
-            f"the (unknown) connecting-map order",
+            f"l(K) = l(K') = {g1}; the decomposition depends on K only "
+            f"through l(K)",
         )
     return EquivalenceVerdict(
         "Unknown",
-        f"the connecting-map order for {group} over S^{spec.n} is not in the "
-        f"tables and gcd(K) = {g1} != {g2} = gcd(K')",
+        f"l(K) = {g1} and l(K') = {g2} differ; no inequivalence criterion "
+        f"is available for {group} over S^{spec.n}",
     )
 
 

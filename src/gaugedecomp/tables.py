@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from ._record import Record, decode_json, exact, read_field, read_ints, set_field
+from ._record import Record, decode_json, exact, read_field, read_file, read_ints, set_field
 from .abelian import AbelianGroup, cardinality
 
 LIE_FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
@@ -279,10 +279,11 @@ def table_from_data(data) -> HomotopyTable:
 
 
 def load_table_file(path: str | Path) -> HomotopyTable:
-    """A user table file: invalid JSON is a ParseError, wrong content a ValueError."""
+    """A user table file: an unreadable or oversized file or invalid JSON is a
+    ParseError, wrong content a ValueError."""
     where = f"table file {path}"
     try:
-        return table_from_data(decode_json(Path(path).read_bytes(), where))
+        return table_from_data(decode_json(read_file(path, "table file"), where))
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
 

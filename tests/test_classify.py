@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from gaugedecomp import classify
+from gaugedecomp.tables import pi6_order
 from gaugedecomp import (
     DIM7_PI6_COPRIME,
     G2,
@@ -38,6 +40,20 @@ class TestDispatch:
         case = classify_conditions(SU(2), ConnectedSumSpec(4, 3, (2, 2)))
         assert case.kind == UNSUPPORTED
         assert case.reason
+
+    @pytest.mark.parametrize("xi", [(1, 0), (2, 2)])
+    def test_pi6_order_read_once(self, monkeypatch, xi):
+        calls = []
+
+        def counted(group, table=None):
+            calls.append(group)
+            return pi6_order(group, table)
+
+        monkeypatch.setattr(classify, "pi6_order", counted)
+        case = classify_conditions(SU(2), ConnectedSumSpec(4, 3, xi))
+        assert calls == [SU(2)]
+        if xi == (2, 2):
+            assert case.reason == "gcd(|pi_6(SU(2))|, xi) = 2 != 1 and no stable clause applies"
 
     def test_sp_stable(self):
         case = classify_conditions(Sp(3), ConnectedSumSpec(8, 3, (1, 2)))

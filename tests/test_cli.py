@@ -4,6 +4,7 @@ import re
 import pytest
 
 from gaugedecomp import cli
+from gaugedecomp._record import MAX_FILE_BYTES
 from gaugedecomp.cli import main, parse_group, parse_space
 from gaugedecomp import LieGroup, Modulus, Sphere
 
@@ -215,6 +216,10 @@ class TestExitCodes:
             capsys, "classify", "--group", "SO3", "--spec", SPEC
         )
         assert code == 2
+        # A sphere of dimension 0 is a bad flag value too, not a domain error.
+        code, out, err = run(capsys, "tables", "--lookup", "sphere:0,3")
+        assert (code, out) == (2, "")
+        assert err == "parse error: sphere dimension must be >= 1\n"
 
 
 class TestUnreadablePaths:
@@ -241,12 +246,48 @@ class TestUnreadablePaths:
         assert (code, out) == (2, "")
         assert err == f"parse error: cannot read table file {tmp_path}: Is a directory\n"
 
+    def test_missing_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "splitting", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: cannot read spec file {path}: No such file or directory\n"
+
     def test_spec_directory(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "decompose", "--group", "SU2", "--spec", str(tmp_path), "--k", "5,7"
         )
         assert (code, out) == (2, "")
         assert err == f"parse error: cannot read spec file {tmp_path}: Is a directory\n"
+
+
+class TestFileSizeCap:
+
+    @staticmethod
+    def padded(path, text, size):
+        path.write_bytes(text.encode() + b" " * (size - len(text.encode())))
+        return str(path)
+
+    @pytest.mark.parametrize("size", [MAX_FILE_BYTES, MAX_FILE_BYTES + 1])
+    def test_table_file(self, capsys, tmp_path, size):
+        path = self.padded(tmp_path / "t.json", '{"entries": []}', size)
+        code, out, err = run(capsys, "tables", "--tables", path, "--lookup", "sphere:3,6")
+        if size == MAX_FILE_BYTES:
+            assert (code, err) == (0, "")
+            assert out.startswith("pi_6(S^3) = Z/12")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"parse error: table file {path} is larger than {MAX_FILE_BYTES} bytes\n"
+
+    @pytest.mark.parametrize("size", [MAX_FILE_BYTES, MAX_FILE_BYTES + 1])
+    def test_spec_file(self, capsys, tmp_path, size):
+        path = self.padded(tmp_path / "m.json", SPEC, size)
+        code, out, err = run(capsys, "splitting", "--spec", path)
+        if size == MAX_FILE_BYTES:
+            assert (code, err) == (0, "")
+            assert out.startswith("Sigma M ~ ")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"parse error: spec file {path} is larger than {MAX_FILE_BYTES} bytes\n"
 
 
 class TestHugeInput:

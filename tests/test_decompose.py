@@ -95,6 +95,16 @@ class TestUnpointed:
         with pytest.raises(ValueError):
             gauge_decomposition(SU(2), SPEC, (1, 2, 3))
 
+    @pytest.mark.parametrize("call", [
+        lambda: wedge_gauge_decomposition(SU(2), 4, 2, (1, 2, 3)),
+        lambda: pointed_gauge_decomposition(SU(2), SPEC, (1, 2, 3)),
+        lambda: gauge_equivalent(SU(2), SPEC, (1, 2, 3), (1, 0)),
+        lambda: gauge_equivalent(SU(2), SPEC, (1, 0), (1, 2, 3)),
+    ], ids=["wedge", "pointed", "equivalent-first", "equivalent-second"])
+    def test_every_length_check_shares_one_message(self, call):
+        with pytest.raises(ValueError, match=r"^expected 2 classifying integers, got 3$"):
+            call()
+
     def test_single_summand_degenerates(self):
         # One summand is a sphere bundle, not S^4: the general formula with
         # r = 1 and rank 1 keeps the residual Map* factor, which the pointed
@@ -205,6 +215,18 @@ class TestEquivalent:
                 ks2 = tuple(rng.randint(-20, 20) for _ in range(2))
                 verdict = gauge_equivalent(group, spec, ks, ks2).verdict
                 assert verdict in ("Equivalent", "Unknown")
+
+    def test_su2_reason_credits_the_table(self):
+        # A user table that supplies SU(2)'s order over S^4 is the one cited.
+        table = table_from_data({"connecting_orders": [
+            {"lie": {"family": "SU", "rank": 2}, "n": 4, "order": 12,
+             "citation": "fixture"}
+        ]}).merged_over(default_table())
+        out = gauge_equivalent(SU(2), SPEC, (5, 7), (1, 0), table)
+        assert out.verdict == "Equivalent"
+        assert "has order 12 (fixture)" in out.reason
+        core = gauge_equivalent(SU(2), SPEC, (5, 7), (1, 0)).reason
+        assert "(Kono (1991), A note on the homotopy type of certain gauge groups)" in core
 
     def test_su2_presentations_share_branch(self):
         # Sp(1) and Spin(3) are SU(2); the iff branch applies to them too.
