@@ -190,7 +190,7 @@ def cmd_orbit_reduce(args) -> dict:
     xs = parse_ints(args.x, "--x")
     cert = orbit_reduce(Modulus(m), xs)
     canonical = [res.value for res in cert.canonical]
-    det = cert.transform.det()
+    det = cert.det
     return {
         "modulus": m,
         "canonical": canonical,

@@ -52,11 +52,8 @@ class ConnectedSumSpec(Record):
 
 def _image_matrix(spec: ConnectedSumSpec, image) -> MixedMatrix:
     target = image.target
-    moduli = tuple(Modulus(0) for _ in range(target.free_rank)) + tuple(
-        Modulus(s) for s in target.torsion
-    )
-    rows = [[v * c for c in image.coeffs] for v in spec.xi]
-    return MixedMatrix.from_rows(moduli, rows)
+    moduli = (Modulus(0),) * target.free_rank + tuple(map(Modulus, target.torsion))
+    return MixedMatrix(spec.r, moduli, tuple(v * c for v in spec.xi for c in image.coeffs))
 
 
 def twisting_matrix(

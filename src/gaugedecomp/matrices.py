@@ -12,6 +12,11 @@ The reductions keep their unimodular transform D as sparse rows, so a
 row operation on D does Python-level work proportional to the support of
 its source row.  D is returned as a dense r x r matrix, built once at the
 end a row at a time: r^2 cells filled at C level.
+
+Entries are made exact ints, reduced per column, once on the way in: by
+the ``IntMatrix`` and ``MixedMatrix`` constructors and by ``orbit_reduce``.
+Row operations keep them that way, so D and B are built from the
+reducer's rows without a second pass through a constructor.
 """
 
 from __future__ import annotations
@@ -106,6 +111,14 @@ class IntMatrix(Record):
         return sign * a[n - 1][n - 1]
 
 
+def _trusted(cls, *fields):
+    """A ``cls`` record from canonical fields, without the constructor's checks."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        set_field(obj, name, value)
+    return obj
+
+
 def matrix_action(a: IntMatrix, elements: Sequence) -> tuple:
     """Left action of an integer matrix on a tuple of group elements.
 
@@ -146,9 +159,9 @@ class MixedMatrix(Record):
         if len(entries) != rows * len(moduli):
             raise ValueError("entry count does not match dimensions")
         # One pass to exact ints: a bool in a Z column is stored as 0 or 1.
-        canon = tuple(v % m if m else int(v) for v, m in zip(entries, cycle(moduli)))
+        canon = tuple(v % m if m else v for v, m in zip(map(int, entries), cycle(moduli)))
         set_field(self, "rows", rows)
-        set_field(self, "column_moduli", column_moduli)
+        set_field(self, "column_moduli", tuple(column_moduli))
         set_field(self, "entries", canon)
 
     @property
@@ -159,34 +172,32 @@ class MixedMatrix(Record):
     def from_rows(
         cls, column_moduli: Sequence[Modulus], rows: Sequence[Sequence[int]]
     ) -> "MixedMatrix":
-        moduli = tuple(column_moduli)
-        nrows = len(rows)
-        if any(len(r) != len(moduli) for r in rows):
+        if any(len(r) != len(column_moduli) for r in rows):
             raise ValueError("row length does not match the moduli list")
-        return cls(nrows, moduli, tuple(v for row in rows for v in row))
+        return cls(len(rows), column_moduli, tuple(chain.from_iterable(rows)))
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+    entry, row, to_lists = IntMatrix.entry, IntMatrix.row, IntMatrix.to_lists  # same layout
 
 
-class OrbitCertificate(Record):
+class _Det(Record):
+    __slots__ = ("det",)  # a derived value: not among a subclass's record fields
+
+
+class OrbitCertificate(_Det):
     """Witness that a unimodular transform carries a vector to (d, 0, ..., 0).
 
     ``transform`` has determinant +-1 and transform @ input is congruent,
     coordinate-wise mod m, to ``canonical`` = (d, 0, ..., 0) where d is the
-    gcd of the input representatives together with m.
+    gcd of the input representatives together with m.  ``det``, kept from
+    the unimodularity check, follows from ``transform``: its slot is not a
+    record field, so equality, repr and pickling ignore it.
     """
 
     __slots__ = ("modulus", "transform", "canonical")
 
     def __init__(self, modulus: Modulus, transform: IntMatrix, canonical: tuple[Residue, ...]):
-        if transform.det() not in (1, -1):
+        det = transform.det()
+        if det not in (1, -1):
             raise ValueError("certificate transform is not unimodular")
         if any(x.value != 0 for x in canonical[1:]):
             raise ValueError("canonical form must vanish past the first slot")
@@ -200,6 +211,7 @@ class OrbitCertificate(Record):
         set_field(self, "modulus", modulus)
         set_field(self, "transform", transform)
         set_field(self, "canonical", canonical)
+        set_field(self, "det", det)
 
     @property
     def divisor(self) -> int:
@@ -219,19 +231,17 @@ class OrbitCertificate(Record):
 class _Reducer:
     """Row-operation workspace shared by orbit reduction and echelon forms.
 
-    Holds the working matrix (entries canonical per column modulus) and the
-    accumulated integer transform; every operation is elementary, so the
-    transform always has determinant +-1.  The column moduli are kept as
-    plain ints (0 for a Z column).  Each transform row is a dict
-    {column: coefficient} starting at {i: 1}, so a row addition walks only
-    the source row's support and a swap or negation touches one row object.
+    Holds the working matrix, whose rows must arrive as exact ints reduced
+    per column modulus and stay so, and the accumulated integer transform;
+    every operation is elementary, so the transform always has
+    determinant +-1.  The column moduli are kept as plain ints (0 for a Z
+    column).  Each transform row is a dict {column: coefficient} starting at
+    {i: 1}, so a row addition walks only the source row's support.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], moduli: Sequence[Modulus]):
         self.moduli = tuple(mod.m for mod in moduli)
-        self.mat = [
-            [v % m if m else v for m, v in zip(self.moduli, row)] for row in rows
-        ]
+        self.mat = list(map(list, rows))
         self.transform = [{i: 1} for i in range(len(self.mat))]
 
     def add(self, dst: int, src: int, c: int) -> None:
@@ -255,22 +265,15 @@ class _Reducer:
 
 
 def _dense_transform(rows: list[dict[int, int]]) -> IntMatrix:
-    """D from its sparse rows, a row at a time.  Unwritten cells are the literal 0,
-    so checking the written values stands in for the constructor's type scan."""
+    """D from its sparse rows, a row at a time.  Its coefficients are exact ints,
+    as the reducer's entries are, so the constructor's type scan is skipped."""
     n = len(rows)
     def dense(row: dict[int, int]) -> list[int]:
         cells = [0] * n
         for j, v in row.items():
             cells[j] = v
         return cells
-    entries = tuple(chain.from_iterable(map(dense, rows)))
-    if set(map(type, chain.from_iterable(map(dict.values, rows)))) != {int}:
-        return IntMatrix(n, n, entries)
-    d = object.__new__(IntMatrix)
-    set_field(d, "rows", n)
-    set_field(d, "cols", n)
-    set_field(d, "entries", entries)
-    return d
+    return _trusted(IntMatrix, n, n, tuple(chain.from_iterable(map(dense, rows))))
 
 
 def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
@@ -328,9 +331,10 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
 
 
 def _echelon(
-    moduli: Sequence[Modulus], rows: Sequence[Sequence[int]]
-) -> tuple[IntMatrix, list[list[int]]]:
-    red = _Reducer(rows, moduli)
+    a: IntMatrix | MixedMatrix, moduli: Sequence[Modulus]
+) -> tuple[IntMatrix, tuple[int, ...]]:
+    e, c = a.entries, len(moduli)
+    red = _Reducer([e[i * c : (i + 1) * c] for i in range(a.rows)], moduli)
     nrows = len(red.mat)
     top = 0
     pivots = []
@@ -346,7 +350,7 @@ def _echelon(
         for i in range(p):
             q = red.mat[i][col] // d
             red.add(i, p, -q)
-    return _dense_transform(red.transform), red.mat
+    return _dense_transform(red.transform), tuple(chain.from_iterable(red.mat))
 
 
 def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertificate:
@@ -361,15 +365,14 @@ def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertifica
     r = len(x)
     if r < 2:
         raise ValueError("orbit reduction needs a vector of length >= 2")
-    values = []
+    rows = []
     for v in x:
         if isinstance(v, Residue):
             if v.modulus != modulus:
                 raise ValueError(f"mixed moduli: expected {modulus}, got {v.modulus}")
-            values.append(v.value)
-        else:
-            values.append(v)
-    red = _Reducer([[v] for v in values], (modulus,))
+            v = v.value
+        rows.append([modulus.reduce(int(v))])
+    red = _Reducer(rows, (modulus,))
     _place_pivot(red, 0, 0, r)
     transform = _dense_transform(red.transform)
     canonical = tuple(Residue(modulus, red.mat[i][0]) for i in range(r))
@@ -397,8 +400,8 @@ def row_echelon_int(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (D, B) with det(D) in {+1, -1}, D @ a == B, pivots positive and
     entries above each pivot reduced into [0, pivot).
     """
-    d, mat = _echelon((INTEGERS,) * a.cols, a.to_lists())
-    return d, IntMatrix.from_rows(mat)
+    d, entries = _echelon(a, (INTEGERS,) * a.cols)
+    return d, _trusted(IntMatrix, a.rows, a.cols, entries)
 
 
 def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
@@ -408,8 +411,8 @@ def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
     column's residue ring.  Pivots of multi-row segments equal the gcd of
     the remaining column segment together with the column modulus.
     """
-    d, mat = _echelon(a.column_moduli, a.to_lists())
-    return d, MixedMatrix.from_rows(a.column_moduli, mat)
+    d, entries = _echelon(a, a.column_moduli)
+    return d, _trusted(MixedMatrix, a.rows, a.column_moduli, entries)
 
 
 def _echelon_leads(b: IntMatrix | MixedMatrix) -> list[int] | None:

@@ -108,6 +108,25 @@ def test_echelon_transform_is_a_unimodular_certificate(case):
 
 
 @settings(PROFILE, max_examples=40)
+@given(echelon_inputs())
+def test_echelon_form_needs_no_second_reduction(case):
+    # B is built straight from the reducer's rows, so it must equal the
+    # record its constructor builds; and entries given unreduced or reduced
+    # must echelon alike, since the reducer trusts them to be reduced.
+    moduli, rows = case
+    mods = [Modulus(m) for m in moduli]
+    d, b = row_echelon_mixed(MixedMatrix.from_rows(mods, rows))
+    assert b == MixedMatrix.from_rows(mods, b.to_lists())
+    assert set(map(type, b.entries)) == {int}
+    reduced = [[v % m if m else int(v) for v, m in zip(row, moduli)] for row in rows]
+    assert row_echelon_mixed(MixedMatrix.from_rows(mods, reduced)) == (d, b)
+    if not any(moduli):
+        d, b = row_echelon_int(IntMatrix.from_rows(rows))
+        assert b == IntMatrix.from_rows(b.to_lists())
+        assert set(map(type, b.entries)) == {int}
+
+
+@settings(PROFILE, max_examples=40)
 @given(
     st.sampled_from([0, 1, 2, 12, 60, 97]),
     st.lists(st.one_of(st.integers(-500, 500), st.booleans()), min_size=2, max_size=30),
@@ -117,6 +136,9 @@ def test_orbit_certificates_verify(m, x):
     assert cert.verify(x)
     assert set(map(type, cert.transform.entries)) == {int}
     assert math.gcd(m, cert.canonical[0].value) == math.gcd(m, *x)
+    assert cert.det == cert.transform.det()
+    reduced = orbit_reduce(Modulus(m), [v % m if m else int(v) for v in x])
+    assert (reduced.transform, reduced.canonical) == (cert.transform, cert.canonical)
 
 
 @PROFILE
