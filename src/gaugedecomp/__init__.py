@@ -21,7 +21,6 @@ from .classify import (
     SU_STABLE,
     UNSUPPORTED,
     classify_conditions,
-    pi6_coprime,
     principal_bundles,
     stable_wedge_formula,
 )
@@ -35,7 +34,6 @@ from .decompose import (
     SymbolicSum,
     gauge_decomposition,
     gauge_equivalent,
-    level,
     pointed_gauge_decomposition,
     pointed_gauge_pi,
     wedge_gauge_decomposition,

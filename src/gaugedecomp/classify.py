@@ -49,17 +49,6 @@ class ClassificationCase(Record):
         return f"{self.kind}({self.reason})" if self.reason else self.kind
 
 
-def pi6_coprime(
-    group: SpaceId, xi: tuple[int, ...], table: HomotopyTable | None = None
-) -> bool:
-    """Whether gcd(|pi_6(G)|, xi_1, ..., xi_r) == 1.
-
-    This is the surjectivity criterion for the suspended attaching map in
-    dimension seven, and the gate for the (n, q) = (4, 3) classification.
-    """
-    return math.gcd(pi6_order(group, table), *xi) == 1
-
-
 def classify_conditions(
     group: SpaceId, spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> ClassificationCase:

@@ -175,19 +175,6 @@ class ProductExpr(Record):
         return {"factors": out, "pretty": str(self)}
 
 
-def level(
-    group: SpaceId, n: int, ks: Sequence[int], table: HomotopyTable | None = None
-) -> int | UnknownValue:
-    """gcd of the connecting-map order over S^n with the classifying tuple.
-
-    Unknown when the order is not in the tables.
-    """
-    if len(ks) < 1:
-        raise ValueError("need at least one classifying integer")
-    order = _require_table(table).connecting_order(group, n)
-    return GaugeLevel.make(order, tuple(ks)).value
-
-
 def _require_decomposable(group, spec, table) -> HomotopyTable:
     """The resolved table, once a bijective classification clause applies."""
     table = _require_table(table)

@@ -10,8 +10,9 @@ floating point anywhere.  Matrices and certificates are immutable.
 
 The reductions keep their unimodular transform D as sparse rows, so a
 row operation on D does Python-level work proportional to the support of
-its source row.  D is returned as a dense r x r matrix, built once at the
-end a row at a time: r^2 cells filled at C level.
+its source row.  D is returned as an ``IntMatrix`` whose dense r x r
+entries are built from those rows on first read, a row at a time: r^2
+cells filled at C level, and none by a caller that only wants the rank.
 
 Entries are made exact ints, reduced per column, once on the way in: by
 the ``IntMatrix`` and ``MixedMatrix`` constructors and by ``orbit_reduce``.
@@ -29,7 +30,28 @@ from ._record import Record, set_field
 from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_factors
 
 
-class IntMatrix(Record):
+class _OnDemand(Record):
+    __slots__ = ("_sparse",)  # D's sparse rows until its entries are built: not a record field
+
+    def __getattr__(self, name):  # runs only when normal lookup fails, as for an unset slot
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = self._sparse
+        if rows is None:  # another thread built the entries since this lookup failed
+            return object.__getattribute__(self, "entries")
+        n = len(rows)
+        def dense(row: dict[int, int]) -> list[int]:
+            cells = [0] * n
+            for j, v in row.items():
+                cells[j] = v
+            return cells
+        entries = tuple(chain.from_iterable(map(dense, rows)))
+        set_field(self, "entries", entries)
+        set_field(self, "_sparse", None)  # after the entries, so a racing reader finds them
+        return entries
+
+
+class IntMatrix(_OnDemand):
     """Dense row-major integer matrix of arbitrary-precision entries."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -265,15 +287,12 @@ class _Reducer:
 
 
 def _dense_transform(rows: list[dict[int, int]]) -> IntMatrix:
-    """D from its sparse rows, a row at a time.  Its coefficients are exact ints,
-    as the reducer's entries are, so the constructor's type scan is skipped."""
-    n = len(rows)
-    def dense(row: dict[int, int]) -> list[int]:
-        cells = [0] * n
-        for j, v in row.items():
-            cells[j] = v
-        return cells
-    return _trusted(IntMatrix, n, n, tuple(chain.from_iterable(map(dense, rows))))
+    """D over its sparse rows; its dense entries are built on first read.  Its
+    coefficients are exact ints, as the reducer's entries are, so the
+    constructor's type scan is not needed."""
+    d = _trusted(IntMatrix, len(rows), len(rows))  # entries left unset
+    set_field(d, "_sparse", rows)
+    return d
 
 
 def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:

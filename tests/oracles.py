@@ -8,7 +8,9 @@ checks beyond the basic matrix container.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from itertools import combinations, product
 
 from gaugedecomp import IntMatrix
@@ -188,3 +190,31 @@ def random_unimodular(rng, r: int, ops: int = 12) -> IntMatrix:
         else:
             rows[i] = [-a for a in rows[i]]
     return IntMatrix.from_rows(rows)
+
+
+def unread(d: IntMatrix) -> bool:
+    """Whether D's dense entries are still unbuilt, asked of the slot itself
+    so that asking does not build them."""
+    try:
+        IntMatrix.entries.__get__(d)
+    except AttributeError:
+        return True
+    return False
+
+
+def check_reads_as_eager(d: IntMatrix) -> None:
+    """Assert that D reads exactly as the IntMatrix built eagerly from its
+    entries: equality both ways, hash, repr, pickle bytes, the pickle, copy
+    and deepcopy round trips, and det = +-1.  The first read builds the
+    entries once and keeps them."""
+    entries = d.entries
+    assert not unread(d) and d.entries is entries
+    assert getattr(d, "_sparse", None) is None  # the sparse rows go once the entries exist
+    eager = IntMatrix(d.rows, d.cols, entries)
+    assert d == eager and eager == d
+    assert hash(d) == hash(eager)
+    assert repr(d) == repr(eager)
+    assert pickle.dumps(d) == pickle.dumps(eager)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert twin == eager and repr(twin) == repr(eager) and not unread(twin)
+    assert d.det() in (1, -1)

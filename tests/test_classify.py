@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from gaugedecomp.tables import pi6_order
 from gaugedecomp import (
     DIM7_PI6_COPRIME,
     G2,
-    E7,
     SP_STABLE,
     STABLE_WEDGE,
     SU_STABLE,
@@ -20,7 +20,6 @@ from gaugedecomp import (
     SU,
     Z,
     classify_conditions,
-    pi6_coprime,
     principal_bundles,
     stable_wedge_formula,
 )
@@ -89,24 +88,20 @@ class TestDispatch:
                 SU(2), ConnectedSumSpec(4, 3, tuple(xi))
             ).kind == spec.kind
 
-
-class TestPi6Coprime:
-
-    def test_examples(self):
-        assert pi6_coprime(SU(3), (5,))
-        assert not pi6_coprime(G2, (3, 6))
-        assert pi6_coprime(E7, (2, 4, 6))
-
-    def test_shift_invariance(self):
+    def test_pi6_gate_shift_invariance(self):
+        # The seven-dimensional clause reads xi only through
+        # gcd(|pi_6(G)|, xi), so shifting a twist by the order changes nothing.
         rng = random.Random(32)
         for group in (SU(2), SU(3), G2):
             order = {SU(2): 12, SU(3): 6, G2: 3}[group]
             for _ in range(50):
                 xi = [rng.randint(-20, 20) for _ in range(3)]
-                base = pi6_coprime(group, tuple(xi))
+                base = classify_conditions(group, ConnectedSumSpec(4, 3, tuple(xi)))
                 i = rng.randrange(3)
                 xi[i] += order * rng.randint(-4, 4)
-                assert pi6_coprime(group, tuple(xi)) == base
+                case = classify_conditions(group, ConnectedSumSpec(4, 3, tuple(xi)))
+                assert case == base
+                assert (case.kind == DIM7_PI6_COPRIME) == (math.gcd(order, *xi) == 1)
 
 
 class TestPrincipalBundles:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,10 +24,10 @@ from gaugedecomp import (
     default_table,
     gauge_decomposition,
     gauge_equivalent,
-    level,
     pointed_gauge_decomposition,
     pointed_gauge_pi,
     same_orbit,
+    suspension_splitting,
     wedge_gauge_decomposition,
 )
 from gaugedecomp.tables import table_from_data
@@ -39,14 +40,6 @@ def factor_map(expr):
 
 
 class TestLevel:
-
-    def test_known_order(self):
-        assert level(SU(2), 4, (2, 6)) == 2
-        assert level(SU(2), 4, (0, 0)) == 12
-        assert level(SU(2), 4, (1, 7)) == 1
-
-    def test_unknown_order(self):
-        assert level(SU(5), 6, (2, 4)) is UNKNOWN
 
     def test_gauge_level_canonicalizes(self):
         a = GaugeLevel.make(12, (2, 6))
@@ -302,3 +295,26 @@ def test_wedge_requires_lie_group():
 
     with pytest.raises(ValueError):
         wedge_gauge_decomposition(Sphere(3), 4, 2, (1, 2))
+
+
+class TestBoundedMemory:
+    """A wide connected sum costs memory linear in r: no query holds an r x r
+    transform.  Dense transforms at r = 2000 would peak above 30 MB."""
+
+    @pytest.mark.parametrize("query", [
+        lambda spec, table: gauge_decomposition(SU(2), spec, [1] * spec.r, table),
+        lambda spec, table: suspension_splitting(spec, table),
+        lambda spec, table: pointed_gauge_pi(SU(2), spec, 3, table),
+    ], ids=["decompose", "splitting", "pointed_pi"])
+    def test_r2000_peaks_below_4mb(self, query):
+        rng = random.Random(2000)
+        # 16-bit twists; the leading unit keeps gcd(12, xi) = 1.
+        spec = ConnectedSumSpec(4, 3, (1, *(rng.getrandbits(16) for _ in range(1999))))
+        table = default_table()
+        tracemalloc.start()
+        try:
+            query(spec, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,12 +26,14 @@ from gaugedecomp import (
     smith_invariants,
 )
 from oracles import (
+    check_reads_as_eager,
     determinantal_invariants,
     diagonal,
     elementary_orbit,
     random_unimodular,
     smith_by_factorization,
     unimodular_generators,
+    unread,
 )
 
 
@@ -376,3 +380,55 @@ class TestGoldenReplay:
         got = [cert.transform.to_lists(), [c.value for c in cert.canonical], cert.divisor, cert.det]
         want = [case["transform"], case["canonical"], case["gcd"], case["det"]]
         assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("case", GOLDEN["echelon"])
+    def test_echelon_transform_reads_as_eager(self, case):
+        # D is built on first read; until then no entry exists, and once
+        # built it is the recorded D in every reader's eyes.
+        if case["kind"] == "int":
+            d, _ = row_echelon_int(IntMatrix.from_rows(case["rows"]))
+        else:
+            moduli = [Modulus(m) for m in case["moduli"]]
+            d, _ = row_echelon_mixed(MixedMatrix.from_rows(moduli, case["rows"]))
+        assert unread(d)
+        check_reads_as_eager(d)
+        assert d == IntMatrix.from_rows(case["d"])
+
+    @pytest.mark.parametrize("case", GOLDEN["orbit_reduce"])
+    def test_orbit_transform_reads_as_eager(self, case):
+        cert = orbit_reduce(Modulus(case["modulus"]), case["x"])
+        assert not unread(cert.transform)  # the certificate's det check read it
+        check_reads_as_eager(cert.transform)
+        assert cert.transform == IntMatrix.from_rows(case["transform"])
+
+
+class TestTransformOnDemand:
+
+    def test_threads_reading_one_transform_agree(self):
+        # Threads that race to build one D's entries must all read them,
+        # equal, with no error: more threads than cores, switching often.
+        rng = random.Random(12)
+        rows = [[rng.getrandbits(16)] for _ in range(300)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                d, _ = row_echelon_mixed(MixedMatrix.from_rows([Modulus(12)], rows))
+                got, errors = [], []
+
+                def read():
+                    try:
+                        got.append(d.entries)
+                    except Exception as e:  # a lost race surfaces here
+                        errors.append(e)
+
+                threads = [threading.Thread(target=read) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == [] and len(got) == 6
+                assert all(e == got[0] for e in got) and d.entries == got[0]
+        finally:
+            sys.setswitchinterval(old)

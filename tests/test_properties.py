@@ -23,7 +23,7 @@ from gaugedecomp import (
     smith_invariants,
     suspension_rank,
 )
-from oracles import diagonal, random_unimodular, smith_by_factorization
+from oracles import check_reads_as_eager, diagonal, random_unimodular, smith_by_factorization, unread
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -127,6 +127,18 @@ def test_echelon_form_needs_no_second_reduction(case):
 
 
 @settings(PROFILE, max_examples=40)
+@given(echelon_inputs())
+def test_echelon_transform_is_built_on_first_read(case):
+    moduli, rows = case
+    transforms = [row_echelon_mixed(MixedMatrix.from_rows([Modulus(m) for m in moduli], rows))[0]]
+    if not any(moduli):
+        transforms.append(row_echelon_int(IntMatrix.from_rows(rows))[0])
+    for d in transforms:
+        assert unread(d)
+        check_reads_as_eager(d)
+
+
+@settings(PROFILE, max_examples=40)
 @given(
     st.sampled_from([0, 1, 2, 12, 60, 97]),
     st.lists(st.one_of(st.integers(-500, 500), st.booleans()), min_size=2, max_size=30),
@@ -139,6 +151,7 @@ def test_orbit_certificates_verify(m, x):
     assert cert.det == cert.transform.det()
     reduced = orbit_reduce(Modulus(m), [v % m if m else int(v) for v in x])
     assert (reduced.transform, reduced.canonical) == (cert.transform, cert.canonical)
+    check_reads_as_eager(cert.transform)
 
 
 @PROFILE
