@@ -1,8 +1,10 @@
 """Immutable value records, and the exact reading of the user JSON they come from.
 
-A record's fields are listed in ``__slots__`` and set once by ``__init__``.
-Equality, hashing, repr and copying go over the fields in slot order, as for
-a frozen dataclass, but no code is generated when a record class is created.
+A record's fields are listed in ``__slots__`` and set once, in slot order, by
+``Record.__init__``.  A record class writes its own ``__init__`` only to check
+its input, normalise it or give defaults.  Equality, hashing, repr and copying
+go over the fields in slot order, as for a frozen dataclass, but no code is
+generated when a record class is created.
 """
 
 import json
@@ -16,6 +18,14 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        """Set the fields in slot order: positional arguments first, then keywords."""
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self).__name__, names, args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -37,6 +47,21 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _bind(what: str, names: tuple[str, ...], args: tuple, kwargs: dict) -> tuple:
+    """One value per field of ``names``: ``args`` in order, then the keywords."""
+    if len(args) > len(names):
+        raise TypeError(f"{what} has {len(names)} fields, got {len(args)} arguments")
+    for name in kwargs:
+        if name not in names:
+            raise TypeError(f"{what} has no field {name!r}")
+        if names.index(name) < len(args):
+            raise TypeError(f"{what} got the field {name!r} twice")
+    for name in names[len(args):]:
+        if name not in kwargs:
+            raise TypeError(f"{what} is missing the field {name!r}")
+    return args + tuple(kwargs[name] for name in names[len(args):])
 
 
 class ParseError(Exception):

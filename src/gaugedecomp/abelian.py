@@ -15,7 +15,7 @@ Z/2 (+) Z/12
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import Record, set_field
 from .residues import invariant_factors

@@ -18,7 +18,6 @@ from .tables import (
     HomotopyTable,
     LieGroup,
     SpaceId,
-    UnknownValue,
     _require_table,
     is_simply_connected_simple_compact,
     pi6_order,
@@ -90,10 +89,6 @@ class BundleFormula(Record):
     """Direct-sum formula with a named symbolic residual, e.g. [Y_F, BG]."""
 
     __slots__ = ("terms", "residual")
-
-    def __init__(self, terms: tuple[tuple[AbelianGroup | UnknownValue, int], ...], residual: str):
-        set_field(self, "terms", terms)
-        set_field(self, "residual", residual)
 
     def __str__(self):
         parts = []

@@ -118,9 +118,7 @@ def build_table(args):
 
 
 def cmd_classify(args) -> dict:
-    table = build_table(args)
-    group = parse_group(args.group)
-    spec = parse_spec(args.spec)
+    group, spec, table = args.group, args.spec, args.table
     case = classify_conditions(group, spec, table)
     payload = {"case": case.kind}
     if case.reason:
@@ -144,9 +142,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    table = build_table(args)
-    group = parse_group(args.group)
-    spec = parse_spec(args.spec)
+    group, spec, table = args.group, args.spec, args.table
     ks = parse_ints(args.k, "--k") if args.k else None
     if args.pointed:
         expr = pointed_gauge_decomposition(group, spec, ks, table)
@@ -160,12 +156,9 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_equivalent(args) -> dict:
-    table = build_table(args)
-    group = parse_group(args.group)
-    spec = parse_spec(args.spec)
     ks = parse_ints(args.k, "--k")
     ks2 = parse_ints(args.k2, "--k2")
-    verdict = gauge_equivalent(group, spec, ks, ks2, table)
+    verdict = gauge_equivalent(args.group, args.spec, ks, ks2, args.table)
     return {
         "verdict": verdict.verdict,
         "reason": verdict.reason,
@@ -174,11 +167,8 @@ def cmd_equivalent(args) -> dict:
 
 
 def cmd_pi(args) -> dict:
-    table = build_table(args)
-    group = parse_group(args.group)
-    spec = parse_spec(args.spec)
     (j,) = parse_ints(args.j, "--j", single=True)
-    payload = pointed_gauge_pi(group, spec, j, table).to_dict()
+    payload = pointed_gauge_pi(args.group, args.spec, j, args.table).to_dict()
     payload["j"] = j
     return payload
 
@@ -231,13 +221,14 @@ def cmd_echelon(args) -> dict:
 
 
 def cmd_tables(args) -> dict:
-    table = build_table(args)
     if args.lookup:
         head, _, deg = args.lookup.rpartition(",")
         if not head or not deg.lstrip("-").isdigit():
             raise ParseError("--lookup expects SPACE,DEGREE, e.g. sphere:3,6 or SU2,6")
+        if deg.startswith("-"):
+            raise ParseError(f"--lookup degree must be non-negative, got {deg}")
         space = parse_space(head)
-        entry = table.entry(space, int(deg))
+        entry = args.table.entry(space, int(deg))
         payload = {"space": space_to_dict(space), "degree": int(deg), "group": "Unknown"}
         if entry is None:
             payload["pretty"] = f"pi_{deg}({space}) = Unknown (not in tables)"
@@ -245,7 +236,7 @@ def cmd_tables(args) -> dict:
             payload.update(group=entry.group.to_dict(), citation=entry.citation)
             payload["pretty"] = f"pi_{deg}({space}) = {entry.group}  [{entry.citation}]"
         return payload
-    entries = table.entries()
+    entries = args.table.entries()
     listing = [{"space": space_to_dict(e.space), "degree": e.degree,
                 "group": e.group.to_dict(), "citation": e.citation} for e in entries]
     pretty = "\n".join(f"pi_{e.degree}({e.space}) = {e.group}" for e in entries)
@@ -253,9 +244,7 @@ def cmd_tables(args) -> dict:
 
 
 def cmd_splitting(args) -> dict:
-    table = build_table(args)
-    spec = parse_spec(args.spec)
-    splitting = suspension_splitting(spec, table)
+    splitting = suspension_splitting(args.spec, args.table)
     payload = splitting.to_dict()
     payload["pretty"] = f"Sigma M ~ {splitting}"
     return payload
@@ -343,6 +332,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Resolve the shared flags of the subcommand, in this order, before its handler runs.
+        if hasattr(args, "tables"):
+            args.table = build_table(args)
+        if hasattr(args, "group"):
+            args.group = parse_group(args.group)
+        if hasattr(args, "spec"):
+            args.spec = parse_spec(args.spec)
         payload = args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -16,17 +16,12 @@ depends on K only through its level) and unequal levels give Unknown.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
-from ._record import Record, set_field
+from ._record import Record
 from .abelian import AbelianGroup, cardinality, direct_sum
 from .classify import classify_conditions
-from .manifolds import (
-    CofibreDescriptor,
-    ConnectedSumSpec,
-    cofibre_space,
-    suspension_rank,
-)
+from .manifolds import ConnectedSumSpec, cofibre_space, suspension_rank
 from .tables import (
     SU,
     UNKNOWN,
@@ -49,10 +44,6 @@ class GaugeLevel(Record):
     """
 
     __slots__ = ("order", "k_gcd")
-
-    def __init__(self, order: int | None, k_gcd: int):
-        set_field(self, "order", order)
-        set_field(self, "k_gcd", k_gcd)
 
     @classmethod
     def make(cls, order: int | UnknownValue, ks: Sequence[int]) -> "GaugeLevel":
@@ -78,11 +69,6 @@ class SphereGauge(Record):
 
     __slots__ = ("group", "base_dim", "level")
 
-    def __init__(self, group: SpaceId, base_dim: int, level: GaugeLevel):
-        set_field(self, "group", group)
-        set_field(self, "base_dim", base_dim)
-        set_field(self, "level", level)
-
     def sort_key(self):
         return (0, self.base_dim, str(self.group), str(self.level))
 
@@ -94,10 +80,6 @@ class LoopSpace(Record):
     """Iterated loop space Omega^degree of a space."""
 
     __slots__ = ("space", "degree")
-
-    def __init__(self, space: SpaceId | str, degree: int):
-        set_field(self, "space", space)
-        set_field(self, "degree", degree)
 
     def sort_key(self):
         return (2, -self.degree, str(self.space))
@@ -111,10 +93,6 @@ class MapStar(Record):
     """Pointed mapping space from a cofibre descriptor into a group."""
 
     __slots__ = ("cofibre", "group")
-
-    def __init__(self, cofibre: CofibreDescriptor, group: SpaceId):
-        set_field(self, "cofibre", cofibre)
-        set_field(self, "group", group)
 
     def sort_key(self):
         return (3, str(self.group), self.cofibre.cell_dim, self.cofibre.sphere_count)
@@ -130,9 +108,6 @@ class ProductExpr(Record):
     """Canonical product of factors with multiplicities >= 1."""
 
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[tuple[Factor, int], ...]):
-        set_field(self, "factors", factors)
 
     @classmethod
     def build(cls, pairs: Sequence[tuple[Factor, int]]) -> "ProductExpr":
@@ -265,10 +240,6 @@ def pointed_gauge_decomposition(
 class EquivalenceVerdict(Record):
     __slots__ = ("verdict", "reason")  # verdict: "Equivalent", "NotEquivalent" or "Unknown"
 
-    def __init__(self, verdict: str, reason: str):
-        set_field(self, "verdict", verdict)
-        set_field(self, "reason", reason)
-
 
 def gauge_equivalent(
     group: SpaceId,
@@ -334,10 +305,6 @@ class SymbolicSum(Record):
     """A direct sum, split into a table-resolved part and symbolic terms."""
 
     __slots__ = ("known", "symbolic")
-
-    def __init__(self, known: AbelianGroup, symbolic: tuple[str, ...]):
-        set_field(self, "known", known)
-        set_field(self, "symbolic", symbolic)
 
     @property
     def is_resolved(self) -> bool:

@@ -101,14 +101,6 @@ class CofibreDescriptor(Record):
 
     __slots__ = ("sphere_count", "wedge_dim", "cell_dim", "attaching", "resolved")
 
-    def __init__(self, sphere_count: int, wedge_dim: int, cell_dim: int,
-                 attaching: tuple[GroupElement, ...], resolved: bool):
-        set_field(self, "sphere_count", sphere_count)
-        set_field(self, "wedge_dim", wedge_dim)
-        set_field(self, "cell_dim", cell_dim)
-        set_field(self, "attaching", attaching)
-        set_field(self, "resolved", resolved)
-
     @property
     def is_sphere(self) -> bool:
         return self.sphere_count == 0
@@ -152,10 +144,6 @@ class WedgeSplitting(Record):
     """Wedge of spheres plus a suspended cofibre, e.g. the suspension of M."""
 
     __slots__ = ("spheres", "cofibre")  # spheres: (dimension, count), descending dims
-
-    def __init__(self, spheres: tuple[tuple[int, int], ...], cofibre: CofibreDescriptor):
-        set_field(self, "spheres", spheres)
-        set_field(self, "cofibre", cofibre)
 
     def __str__(self):
         parts = []

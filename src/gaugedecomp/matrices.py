@@ -15,7 +15,7 @@ entries are built from those rows on first read, a row at a time: r^2
 cells filled at C level, and none by a caller that only wants the rank.
 
 Entries are made exact ints, reduced per column, once on the way in: by
-the ``IntMatrix`` and ``MixedMatrix`` constructors and by ``orbit_reduce``.
+the ``IntMatrix`` and ``MixedMatrix`` constructors.
 Row operations keep them that way, so D and B are built from the
 reducer's rows without a second pass through a constructor.
 """
@@ -23,8 +23,8 @@ reducer's rows without a second pass through a constructor.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import chain, compress, cycle
-from typing import Sequence
 
 from ._record import Record, set_field
 from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_factors
@@ -251,7 +251,7 @@ class OrbitCertificate(_Det):
 
 
 class _Reducer:
-    """Row-operation workspace shared by orbit reduction and echelon forms.
+    """Row-operation workspace of the echelon forms.
 
     Holds the working matrix, whose rows must arrive as exact ints reduced
     per column modulus and stay so, and the accumulated integer transform;
@@ -384,17 +384,16 @@ def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertifica
     r = len(x)
     if r < 2:
         raise ValueError("orbit reduction needs a vector of length >= 2")
-    rows = []
+    values = []
     for v in x:
         if isinstance(v, Residue):
             if v.modulus != modulus:
                 raise ValueError(f"mixed moduli: expected {modulus}, got {v.modulus}")
             v = v.value
-        rows.append([modulus.reduce(int(v))])
-    red = _Reducer(rows, (modulus,))
-    _place_pivot(red, 0, 0, r)
-    transform = _dense_transform(red.transform)
-    canonical = tuple(Residue(modulus, red.mat[i][0]) for i in range(r))
+        values.append(v)
+    # A one-column echelon: its single pivot sits in row 0, so the Hermite pass is empty.
+    transform, reduced = row_echelon_mixed(MixedMatrix(r, (modulus,), values))
+    canonical = tuple(Residue(modulus, v) for v in reduced.entries)
     return OrbitCertificate(modulus, transform, canonical)
 
 

@@ -10,7 +10,7 @@ residues are immutable, so they hash and compare by value.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._record import Record, set_field
 

@@ -9,10 +9,9 @@ without code changes.  Spaces, entries, images and tables are immutable.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Sequence
 from functools import lru_cache
-from importlib import resources
-from pathlib import Path
-from typing import Sequence
 
 from ._record import Record, decode_json, exact, read_field, read_file, read_ints, set_field
 from .abelian import AbelianGroup, cardinality
@@ -150,12 +149,6 @@ def space_from_dict(data: dict, where: str = "space") -> SpaceId:
 class TableEntry(Record):
     __slots__ = ("space", "degree", "group", "citation")
 
-    def __init__(self, space: SpaceId, degree: int, group: AbelianGroup, citation: str):
-        set_field(self, "space", space)
-        set_field(self, "degree", degree)
-        set_field(self, "group", group)
-        set_field(self, "citation", citation)
-
 
 class GeneratorImage(Record):
     """Image of the standard twist generator inside a presented target group.
@@ -278,7 +271,7 @@ def table_from_data(data) -> HomotopyTable:
     return HomotopyTable(sections)
 
 
-def load_table_file(path: str | Path) -> HomotopyTable:
+def load_table_file(path: str | os.PathLike) -> HomotopyTable:
     """A user table file: an unreadable or oversized file or invalid JSON is a
     ParseError, wrong content a ValueError."""
     where = f"table file {path}"
@@ -291,11 +284,11 @@ def load_table_file(path: str | Path) -> HomotopyTable:
 @lru_cache(maxsize=1)
 def default_table() -> HomotopyTable:
     """The built-in core table shipped with the package."""
-    text = resources.files("gaugedecomp").joinpath("data/core_tables.json").read_bytes()
-    return table_from_data(decode_json(text, "core table"))
+    path = os.path.join(os.path.dirname(__file__), "data", "core_tables.json")
+    return table_from_data(decode_json(read_file(path, "core table"), "core table"))
 
 
-def load_tables(paths: Sequence[str | Path] = ()) -> HomotopyTable:
+def load_tables(paths: Sequence[str | os.PathLike] = ()) -> HomotopyTable:
     """Merge table files over the core; later paths take precedence."""
     table = default_table()
     for path in paths:

@@ -220,6 +220,10 @@ class TestExitCodes:
         code, out, err = run(capsys, "tables", "--lookup", "sphere:0,3")
         assert (code, out) == (2, "")
         assert err == "parse error: sphere dimension must be >= 1\n"
+        # A negative degree names no homotopy group, so it is no "Unknown" entry.
+        code, out, err = run(capsys, "tables", "--lookup", "SU2,-1")
+        assert (code, out) == (2, "")
+        assert err == "parse error: --lookup degree must be non-negative, got -1\n"
 
 
 class TestUnreadablePaths:
@@ -501,6 +505,25 @@ class TestImportHygiene:
         added = cli - bare
         assert "gaugedecomp.cli" in added
         assert not added & {"dataclasses", "inspect"}
+
+    def test_cli_import_without_site_loads_only_stdlib_basics(self):
+        import os
+        import subprocess
+        import sys
+
+        import gaugedecomp
+
+        show = (
+            "import sys, argparse, json; before = set(sys.modules); "
+            "import gaugedecomp.cli; print(*sorted(set(sys.modules) - before))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gaugedecomp.__file__))}
+        added = set(subprocess.run(
+            [sys.executable, "-S", "-c", show], env=env, capture_output=True, check=True, text=True
+        ).stdout.split())
+        assert "gaugedecomp.cli" in added
+        own = {m for m in added if m == "gaugedecomp" or m.startswith("gaugedecomp.")}
+        assert added - own <= {"__future__", "collections.abc", "math"}
 
     def test_no_module_imports_dataclasses(self):
         from pathlib import Path

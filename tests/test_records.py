@@ -121,6 +121,43 @@ class TestRecordSemantics:
             assert hash(other) == hash(obj)
 
 
+@pytest.mark.parametrize("cls, fields", CASES, ids=IDS)
+class TestConstructorArguments:
+
+    def test_one_positional_too_many(self, cls, fields):
+        with pytest.raises(TypeError):
+            cls(*fields.values(), None)
+
+    def test_unknown_keyword(self, cls, fields):
+        with pytest.raises(TypeError):
+            cls(**fields, not_a_field=1)
+
+    def test_field_given_by_position_and_keyword(self, cls, fields):
+        name = next(iter(fields))
+        with pytest.raises(TypeError):
+            cls(*fields.values(), **{name: fields[name]})
+
+
+# Every field of AbelianGroup has a default; every other class requires its first field.
+@pytest.mark.parametrize("cls, fields", [c for c in CASES if c[0] is not AbelianGroup],
+                         ids=[name for name in IDS if name != "AbelianGroup"])
+def test_missing_field(cls, fields):
+    with pytest.raises(TypeError):
+        cls(**{name: fields[name] for name in list(fields)[1:]})
+
+
+def test_shared_constructor_messages():
+    with pytest.raises(TypeError, match="^LoopSpace has 2 fields, got 3 arguments$"):
+        LoopSpace(SU2, 4, 5)
+    with pytest.raises(TypeError, match="^LoopSpace is missing the field 'degree'$"):
+        LoopSpace(SU2)
+    with pytest.raises(TypeError, match="^LoopSpace has no field 'dim'$"):
+        LoopSpace(SU2, 4, dim=4)
+    with pytest.raises(TypeError, match="^LoopSpace got the field 'space' twice$"):
+        LoopSpace(SU2, 4, space=SU2)
+    assert LoopSpace(SU2, degree=4) == LoopSpace(degree=4, space=SU2) == LoopSpace(SU2, 4)
+
+
 def test_cross_class_equal_fields_are_unequal():
     assert Sphere(3) != Modulus(3)
     assert ClassificationCase("a", "b") != EquivalenceVerdict("a", "b")
