@@ -29,6 +29,7 @@ from .manifolds import ConnectedSumSpec, suspension_splitting
 from .matrices import MixedMatrix, orbit_reduce, row_echelon_mixed
 from .residues import Modulus
 from .tables import (
+    _EXCEPTIONAL_RANK,
     UNKNOWN,
     LieGroup,
     SpaceId,
@@ -43,17 +44,15 @@ TABLES_ENV_VAR = "GAUGEDECOMP_TABLES"
 def parse_group(text: str) -> LieGroup:
     """Parse a Lie group name such as SU2, SU(2), Sp3, Spin7, G2, E8."""
     cleaned = text.strip().replace("(", "").replace(")", "")
-    for family in ("Spin", "SU", "Sp"):
-        if cleaned.startswith(family):
-            tail = cleaned[len(family):]
-            if tail.isdigit():
-                try:
-                    return LieGroup(family, int(tail))
-                except ValueError as e:
-                    raise ParseError(str(e)) from e
-    if cleaned in ("G2", "F4", "E6", "E7", "E8"):
-        rank = int(cleaned[1])
-        return LieGroup(cleaned, rank)
+    if cleaned in _EXCEPTIONAL_RANK:
+        return LieGroup(cleaned, _EXCEPTIONAL_RANK[cleaned])
+    family = cleaned.rstrip("0123456789")
+    if family in ("Spin", "SU", "Sp") and family != cleaned:
+        (rank,) = parse_ints(cleaned[len(family):], "group rank", single=True)
+        try:
+            return LieGroup(family, rank)
+        except ValueError as e:
+            raise ParseError(str(e)) from e
     raise ParseError(
         f"cannot parse group {text!r}; expected SU<m>, Sp<m>, Spin<m>, "
         f"G2, F4, E6, E7 or E8"
@@ -61,15 +60,13 @@ def parse_group(text: str) -> LieGroup:
 
 
 def parse_space(text: str) -> SpaceId:
-    if text.startswith("sphere:"):
-        tail = text.split(":", 1)[1]
-        if not tail.isdigit():
-            raise ParseError(f"cannot parse sphere dimension from {text!r}")
-        try:
-            return Sphere(int(tail))
-        except ValueError as e:
-            raise ParseError(str(e)) from e
-    return parse_group(text)
+    if not text.startswith("sphere:"):
+        return parse_group(text)
+    (dim,) = parse_ints(text[len("sphere:"):], "sphere dimension", single=True)
+    try:
+        return Sphere(dim)
+    except ValueError as e:
+        raise ParseError(str(e)) from e
 
 
 def parse_ints(text: str, flag: str, single: bool = False) -> tuple[int, ...]:
@@ -207,8 +204,6 @@ def cmd_echelon(args) -> dict:
         moduli = (0,) * ncols
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
-    if not ncols:
-        raise ValueError("matrix dimensions must be positive")
     d, b = row_echelon_mixed(MixedMatrix.from_rows([Modulus(m) for m in moduli], rows))
     reduced = b.to_lists()
     return {
@@ -223,18 +218,19 @@ def cmd_echelon(args) -> dict:
 def cmd_tables(args) -> dict:
     if args.lookup:
         head, _, deg = args.lookup.rpartition(",")
-        if not head or not deg.lstrip("-").isdigit():
+        if not head:
             raise ParseError("--lookup expects SPACE,DEGREE, e.g. sphere:3,6 or SU2,6")
-        if deg.startswith("-"):
-            raise ParseError(f"--lookup degree must be non-negative, got {deg}")
+        (degree,) = parse_ints(deg, "--lookup degree", single=True)
+        if degree < 0:
+            raise ParseError(f"--lookup degree must be non-negative, got {degree}")
         space = parse_space(head)
-        entry = args.table.entry(space, int(deg))
-        payload = {"space": space_to_dict(space), "degree": int(deg), "group": "Unknown"}
+        entry = args.table.entry(space, degree)
+        payload = {"space": space_to_dict(space), "degree": degree, "group": "Unknown"}
         if entry is None:
-            payload["pretty"] = f"pi_{deg}({space}) = Unknown (not in tables)"
+            payload["pretty"] = f"pi_{degree}({space}) = Unknown (not in tables)"
         else:
             payload.update(group=entry.group.to_dict(), citation=entry.citation)
-            payload["pretty"] = f"pi_{deg}({space}) = {entry.group}  [{entry.citation}]"
+            payload["pretty"] = f"pi_{degree}({space}) = {entry.group}  [{entry.citation}]"
         return payload
     entries = args.table.entries()
     listing = [{"space": space_to_dict(e.space), "degree": e.degree,

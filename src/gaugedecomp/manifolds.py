@@ -16,6 +16,8 @@ and the descriptors computed from them are immutable.
 
 from __future__ import annotations
 
+from operator import index
+
 from ._record import Record, exact, read_field, read_ints, set_field
 from .abelian import GroupElement
 from .matrices import MixedMatrix, echelon_rank, row_echelon_mixed
@@ -29,9 +31,9 @@ class ConnectedSumSpec(Record):
     __slots__ = ("n", "q", "xi")
 
     def __init__(self, n: int, q: int, xi: tuple[int, ...]):
+        n, q, xi = index(n), index(q), tuple(map(index, xi))
         if n < 2 or q < 2:
             raise ValueError("sphere dimensions must be >= 2")
-        xi = tuple(int(v) for v in xi)
         if len(xi) < 1:
             raise ValueError("a connected sum needs at least one summand")
         set_field(self, "n", n)

@@ -14,8 +14,8 @@ its source row.  D is returned as an ``IntMatrix`` whose dense r x r
 entries are built from those rows on first read, a row at a time: r^2
 cells filled at C level, and none by a caller that only wants the rank.
 
-Entries are made exact ints, reduced per column, once on the way in: by
-the ``IntMatrix`` and ``MixedMatrix`` constructors.
+Entries are made exact ints by ``operator.index`` and reduced per column,
+once on the way in: by the ``IntMatrix`` and ``MixedMatrix`` constructors.
 Row operations keep them that way, so D and B are built from the
 reducer's rows without a second pass through a constructor.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import chain, compress, cycle
+from operator import index
 
 from ._record import Record, set_field
 from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_factors
@@ -61,14 +62,9 @@ class IntMatrix(_OnDemand):
             raise ValueError("matrix dimensions must be positive")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        # Store a tuple of exact ints (bools and other int-likes coerced).
-        # The type scan costs about 40% of the coercing copy, so skipping
-        # the copy when it would change nothing pays on large matrices.
-        if type(entries) is not tuple or set(map(type, entries)) != {int}:
-            entries = tuple(map(int, entries))
         set_field(self, "rows", rows)
         set_field(self, "cols", cols)
-        set_field(self, "entries", entries)
+        set_field(self, "entries", tuple(map(index, entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -178,10 +174,12 @@ class MixedMatrix(Record):
         if rows < 1:
             raise ValueError("matrix needs at least one row")
         moduli = [mod.m for mod in column_moduli]
+        if not moduli:
+            raise ValueError("matrix dimensions must be positive")
         if len(entries) != rows * len(moduli):
             raise ValueError("entry count does not match dimensions")
         # One pass to exact ints: a bool in a Z column is stored as 0 or 1.
-        canon = tuple(v % m if m else v for v, m in zip(map(int, entries), cycle(moduli)))
+        canon = tuple(v % m if m else v for v, m in zip(map(index, entries), cycle(moduli)))
         set_field(self, "rows", rows)
         set_field(self, "column_moduli", tuple(column_moduli))
         set_field(self, "entries", canon)

@@ -225,6 +225,36 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "parse error: --lookup degree must be non-negative, got -1\n"
 
+    def test_unreadable_lookup_degree_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "tables", "--lookup", "SU2,\u00b2")
+        assert (code, out) == (2, "")
+        assert err == "parse error: --lookup degree expects one integer, got '\u00b2'\n"
+        nines = "9" * 5000
+        code, out, err = run(capsys, "tables", "--lookup", f"SU2,{nines}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"parse error: --lookup degree expects one integer, got {nines[:40]!r}... (5000 chars)\n"
+        )
+
+    @pytest.mark.parametrize("degree", ["06", "\u0666"])
+    def test_lookup_prints_the_degree_it_read(self, capsys, degree):
+        code, out, _ = run(capsys, "tables", "--lookup", f"sphere:3,{degree}")
+        assert code == 0
+        assert out.startswith("pi_6(S^3) = Z/12 ")
+        code, out, _ = run(capsys, "tables", "--lookup", f"sphere:3,{degree}", "--json")
+        assert code == 0
+        assert json.loads(out)["degree"] == 6
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tables", "--lookup", "sphere:x,6"], "sphere dimension expects one integer, got 'x'"),
+        (["tables", "--lookup", "SU2,x"], "--lookup degree expects one integer, got 'x'"),
+        (["classify", "--group", "SU" + "9" * 5000, "--spec", SPEC],
+         f"group rank expects one integer, got {'9' * 40!r}... (5000 chars)"),
+    ], ids=["sphere", "degree", "rank"])
+    def test_bad_integer_names_the_value(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
 
 class TestUnreadablePaths:
 

@@ -119,7 +119,8 @@ argvs = st.one_of(
     _command("echelon", matrices.map(lambda m: [m]),
              st.one_of(st.just([]), _flag("--m", int_lists)), tables=False),
     _command("tables", st.one_of(st.just([]), _flag("--lookup", st.sampled_from(
-        ["sphere:3,6", "SU2,6", "sphere:x,6", "sphere:0,3", "SO3,6", ",6", "SU2,", "SU2,-1"]
+        ["sphere:3,6", "SU2,6", "sphere:x,6", "sphere:0,3", "SO3,6", ",6", "SU2,", "SU2,-1",
+         "SU2,\u00b2", "sphere:3,06"]
     )))),
     _command("splitting", _flag("--spec", specs)),
 )

@@ -51,6 +51,15 @@ class TestSpec:
     def test_constructor_still_coerces(self):
         assert ConnectedSumSpec(4, 3, (1, False)).xi == (1, 0)
 
+    @pytest.mark.parametrize("n, q, xi", [
+        (4, 3, (1.5, 0)),  # truncated, this would be the coprime twist (1, 0)
+        (4.0, 3, (1,)),
+        (4, 3, ("7",)),
+    ])
+    def test_constructor_refuses_floats_and_strings(self, n, q, xi):
+        with pytest.raises(TypeError):
+            ConnectedSumSpec(n, q, xi)
+
 
 class TestTwistingMatrix:
 

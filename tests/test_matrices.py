@@ -58,6 +58,10 @@ class TestIntMatrixEntries:
         assert type(m.entries) is tuple
         assert m.entries == (1, 2, 3, 4)
 
+    def test_float_entries_are_refused(self):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, (2.9,))
+
 
 class TestOrbitReduce:
 
@@ -153,6 +157,17 @@ class TestEchelonMixed:
         assert a.entries == (1, 5, 0, 9)
         assert all(type(v) is int for v in a.entries)
 
+    def test_float_entries_are_refused(self):
+        with pytest.raises(TypeError):
+            MixedMatrix(1, (Modulus(12),), (14.7,))
+
+    def test_zero_columns_are_refused(self):
+        # IntMatrix refuses this shape with the same message.
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            MixedMatrix(1, (), ())
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            MixedMatrix.from_rows([], [[], [], []])
+
     def test_z_and_z12_columns(self):
         moduli = [Modulus(0), Modulus(12)]
         a = MixedMatrix.from_rows(moduli, [[2, 6], [4, 0]])
@@ -174,11 +189,6 @@ class TestEchelonMixed:
         d, b = row_echelon_mixed(a)
         assert b.to_lists() == a.to_lists()
         assert d.to_lists() == diagonal([1] * 2).to_lists()
-        # Without columns there is nothing to reduce: D = I and B = A.
-        no_columns = MixedMatrix.from_rows([], [[], [], []])
-        d, b = row_echelon_mixed(no_columns)
-        assert d == diagonal([1] * 3)
-        assert b == no_columns
 
     def test_random_soundness(self):
         rng = random.Random(43)
