@@ -76,8 +76,6 @@ from .tables import (
     Spin,
     SU,
     TableEntry,
-    UNKNOWN,
-    UnknownValue,
     canonical_space,
     default_table,
     is_simply_connected_simple_compact,

@@ -14,7 +14,6 @@ from ._record import Record, set_field
 from .abelian import AbelianGroup
 from .manifolds import ConnectedSumSpec, suspension_rank
 from .tables import (
-    UNKNOWN,
     HomotopyTable,
     LieGroup,
     SpaceId,
@@ -93,7 +92,7 @@ class BundleFormula(Record):
     def __str__(self):
         parts = []
         for g, mult in self.terms:
-            text = "?" if g is UNKNOWN else str(g)
+            text = "?" if g is None else str(g)
             parts.append(text if mult == 1 else f"({text})^{mult}")
         parts.append(self.residual)
         return " (+) ".join(parts)

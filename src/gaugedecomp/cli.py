@@ -30,7 +30,6 @@ from .matrices import MixedMatrix, orbit_reduce, row_echelon_mixed
 from .residues import Modulus
 from .tables import (
     _EXCEPTIONAL_RANK,
-    UNKNOWN,
     LieGroup,
     SpaceId,
     Sphere,
@@ -109,9 +108,7 @@ def parse_matrix(text: str) -> list[list[int]]:
 
 def build_table(args):
     paths = [p for p in os.environ.get(TABLES_ENV_VAR, "").split(os.pathsep) if p]
-    for chunk in args.tables:
-        paths.extend(p for p in chunk.split(",") if p)
-    return load_tables(paths)
+    return load_tables(paths + args.tables)
 
 
 def cmd_classify(args) -> dict:
@@ -129,7 +126,7 @@ def cmd_classify(args) -> dict:
     else:
         payload["bundles"] = {
             "terms": [
-                {"group": "Unknown" if g is UNKNOWN else g.to_dict(), "multiplicity": m}
+                {"group": "Unknown" if g is None else g.to_dict(), "multiplicity": m}
                 for g, m in result.formula.terms
             ],
             "residual": result.formula.residual,
@@ -264,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec=False, group=False, tables=False):
         if spec or tables:  # every command that reads tables
             p.add_argument("--tables", action="append", default=[],
-                           help="comma-separated table JSON files (repeatable)")
+                           help="table JSON file (repeatable)")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if group:
             p.add_argument("--group", required=True, help="structure group, e.g. SU2")

@@ -24,11 +24,9 @@ from .classify import classify_conditions
 from .manifolds import ConnectedSumSpec, cofibre_space, suspension_rank
 from .tables import (
     SU,
-    UNKNOWN,
     HomotopyTable,
     LieGroup,
     SpaceId,
-    UnknownValue,
     _require_table,
     canonical_space,
 )
@@ -46,19 +44,12 @@ class GaugeLevel(Record):
     __slots__ = ("order", "k_gcd")
 
     @classmethod
-    def make(cls, order: int | UnknownValue, ks: Sequence[int]) -> "GaugeLevel":
-        g = math.gcd(*ks) if ks else 0
-        if order is UNKNOWN:
-            return cls(None, g)
-        return cls(order, math.gcd(order, g))
+    def make(cls, order: int | None, ks: Sequence[int]) -> "GaugeLevel":
+        return cls(order, math.gcd(*ks) if order is None else math.gcd(order, *ks))
 
     @property
     def known(self) -> bool:
         return self.order is not None
-
-    @property
-    def value(self) -> int | UnknownValue:
-        return self.k_gcd if self.known else UNKNOWN
 
     def __str__(self):
         return str(self.k_gcd) if self.known else f"gcd(o(d_1), {self.k_gcd})"
@@ -365,7 +356,7 @@ def pointed_gauge_pi(
         if mult <= 0:
             return
         got = table.lookup_pi(group, degree)
-        if got is UNKNOWN:
+        if got is None:
             label = f"pi_{degree}({group})"
             symbolic.append(label if mult == 1 else f"{label}^{mult}")
         else:

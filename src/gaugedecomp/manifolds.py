@@ -58,6 +58,16 @@ def _image_matrix(spec: ConnectedSumSpec, image) -> MixedMatrix:
     return MixedMatrix(spec.r, moduli, tuple(v * c for v in spec.xi for c in image.coeffs))
 
 
+def _suspended_image(spec: ConnectedSumSpec, table: HomotopyTable | None):
+    image = _require_table(table).suspended_image(spec.n, spec.q)
+    if image is None:
+        raise MissingTableError(
+            f"pi_{spec.n + spec.q}(S^{spec.q + 1}) suspended twist image "
+            f"for (n, q)=({spec.n}, {spec.q})"
+        )
+    return image
+
+
 def twisting_matrix(
     spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> MixedMatrix:
@@ -67,27 +77,22 @@ def twisting_matrix(
     Raises MissingTableError naming the needed key when no image data is
     declared for this (n, q).
     """
-    table = _require_table(table)
-    image = table.suspended_image(spec.n, spec.q)
-    if image is None:
-        raise MissingTableError(
-            f"pi_{spec.n + spec.q}(S^{spec.q + 1}) suspended twist image "
-            f"for (n, q)=({spec.n}, {spec.q})"
-        )
-    return _image_matrix(spec, image)
+    return _image_matrix(spec, _suspended_image(spec, table))
 
 
 def suspension_rank(
     spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> int:
-    """min(r, echelon rank of the suspended twist matrix)."""
+    """Echelon rank of the suspended twist matrix (at most r, its row count)."""
     if all(v == 0 for v in spec.xi):
         # A zero twist has zero image in any receiving group, so the rank
         # is 0 without consulting the tables.
         return 0
-    nf = twisting_matrix(spec, table)
-    _, reduced = row_echelon_mixed(nf)
-    return min(spec.r, echelon_rank(reduced))
+    image = _suspended_image(spec, table)
+    if not image.coeffs:  # a trivial receiving group: every image is 0
+        return 0
+    _, reduced = row_echelon_mixed(_image_matrix(spec, image))
+    return echelon_rank(reduced)
 
 
 class CofibreDescriptor(Record):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from operator import index
 
 from ._record import Record, set_field
 
@@ -21,6 +22,7 @@ class Modulus(Record):
     __slots__ = ("m",)
 
     def __init__(self, m: int):
+        m = index(m)
         if m < 0:
             raise ValueError(f"modulus must be non-negative, got {m}")
         set_field(self, "m", m)
@@ -50,7 +52,7 @@ class Residue(Record):
 
     def __init__(self, modulus: Modulus, value: int):
         set_field(self, "modulus", modulus)
-        set_field(self, "value", modulus.reduce(value))
+        set_field(self, "value", modulus.reduce(index(value)))
 
     def __str__(self):
         if self.modulus.is_integers:

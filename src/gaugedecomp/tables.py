@@ -1,10 +1,10 @@
 """Data-driven tables of homotopy groups and connecting-map orders.
 
 This module is the only source of topological constants in the package.
-Every shipped value carries a citation, lookups of absent keys return the
-explicit ``UNKNOWN`` marker instead of a default, and user table files are
-merged over the built-in core so values can be extended or overridden
-without code changes.  Spaces, entries, images and tables are immutable.
+Every shipped value carries a citation, lookups of absent keys return
+``None`` instead of a default, and user table files are merged over the
+built-in core so values can be extended or overridden without code
+changes.  Spaces, entries, images and tables are immutable.
 """
 
 from __future__ import annotations
@@ -18,23 +18,6 @@ from .abelian import AbelianGroup, cardinality
 
 LIE_FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
-
-
-class UnknownValue:
-    """Explicit marker for data the tables do not contain."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Unknown"
-
-
-UNKNOWN = UnknownValue()
 
 
 class MissingTableError(LookupError):
@@ -179,15 +162,15 @@ class HomotopyTable:
     def entry(self, space: SpaceId, degree: int) -> TableEntry | None:
         return self._sections["entries"].get((canonical_space(space), degree))
 
-    def lookup_pi(self, space: SpaceId, degree: int) -> AbelianGroup | UnknownValue:
-        """The homotopy group pi_degree(space), or UNKNOWN when not shipped."""
+    def lookup_pi(self, space: SpaceId, degree: int) -> AbelianGroup | None:
+        """The homotopy group pi_degree(space), or None when not shipped."""
         e = self.entry(space, degree)
-        return e.group if e is not None else UNKNOWN
+        return None if e is None else e.group
 
-    def connecting_order(self, space: SpaceId, n: int) -> int | UnknownValue:
+    def connecting_order(self, space: SpaceId, n: int) -> int | None:
         """Order of the connecting map of the evaluation fibration over S^n."""
         got = self._sections["connecting_orders"].get((canonical_space(space), n))
-        return got[0] if got is not None else UNKNOWN
+        return None if got is None else got[0]
 
     def connecting_citation(self, space: SpaceId, n: int) -> str | None:
         got = self._sections["connecting_orders"].get((canonical_space(space), n))
@@ -313,7 +296,7 @@ def pi6_order(space: SpaceId, table: HomotopyTable | None = None) -> int:
         raise ValueError(f"{space} is not simply connected simple compact")
     g = canonical_space(space)
     got = _require_table(table).lookup_pi(g, 6)
-    if got is not UNKNOWN:
+    if got is not None:
         size = cardinality(got)
         if size == 0:
             raise ValueError(f"table claims infinite pi_6({g}); it must be finite")

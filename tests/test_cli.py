@@ -395,6 +395,24 @@ class TestDeterminism:
         assert code == 0
         assert out.strip().startswith("G^30(S^6)")
 
+    def test_tables_flag_takes_one_path_with_commas(self, capsys, tmp_path):
+        path = tmp_path / "a,b.json"
+        path.write_text(json.dumps({"entries": [
+            {"space": {"sphere": 3}, "degree": 40, "group": {"free": 1}, "citation": "t"}
+        ]}))
+        code, out, err = run(capsys, "tables", "--tables", str(path), "--lookup", "sphere:3,40")
+        assert (code, out, err) == (0, "pi_40(S^3) = Z  [t]\n", "")
+
+    def test_trivial_suspended_image_target_has_rank_zero(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"suspended_attaching_images": [
+            {"n": 6, "q": 5, "target": {"free": 0, "torsion": []}, "coeffs": [], "citation": "t"}
+        ]}))
+        code, out, err = run(
+            capsys, "splitting", "--spec", '{"n":6,"q":5,"xi":[1,2]}', "--tables", str(path)
+        )
+        assert (code, out, err) == (0, "Sigma M ~ S^7 v S^7 v S^6 v S^6 v S^12\n", "")
+
 
 class TestUserTableGroupData:
 

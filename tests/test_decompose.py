@@ -19,7 +19,6 @@ from gaugedecomp import (
     Spin,
     SU,
     Sphere,
-    UNKNOWN,
     classify_conditions,
     default_table,
     gauge_decomposition,
@@ -46,7 +45,7 @@ class TestLevel:
         b = GaugeLevel.make(12, (14, 6))
         assert a == b
         assert str(a) == "2"
-        sym = GaugeLevel.make(UNKNOWN, (4, 6))
+        sym = GaugeLevel.make(None, (4, 6))
         assert str(sym) == "gcd(o(d_1), 2)"
 
 
@@ -56,7 +55,7 @@ class TestUnpointed:
         expr = gauge_decomposition(SU(2), SPEC, (5, 7))
         fm = factor_map(expr)
         gauge = [f for f in fm if isinstance(f, SphereGauge)]
-        assert len(gauge) == 1 and gauge[0].level.value == 1
+        assert len(gauge) == 1 and gauge[0].level.known and gauge[0].level.k_gcd == 1
         assert gauge[0].base_dim == 4
         assert fm[LoopSpace(SU(2), 4)] == 1
         assert fm[LoopSpace(SU(2), 3)] == 1

@@ -39,6 +39,21 @@ def test_residue_canonical():
     assert Residue(Modulus(0), -5).value == -5
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Modulus(12.0),
+    lambda: Modulus(2.5),
+    lambda: Residue(Modulus(12), 2.5),
+])
+def test_non_integers_raise_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_bools_read_as_zero_or_one():
+    assert Modulus(True).m == 1 and type(Modulus(True).m) is int
+    assert Residue(Modulus(12), True).value == 1
+
+
 def test_gcd_mod_examples():
     assert gcd_mod(Modulus(12), [8, 4]) == 4
     assert gcd_mod(Modulus(0), [6, 4]) == 2

@@ -16,7 +16,6 @@ from gaugedecomp import (
     Spin,
     SU,
     TRIVIAL_GROUP,
-    UNKNOWN,
     Z,
     canonical_space,
     cyclic,
@@ -106,8 +105,8 @@ class TestLookups:
         assert CORE.lookup_pi(G2, 6) == cyclic(3)
 
     def test_absent_is_unknown(self):
-        assert CORE.lookup_pi(Sphere(3), 40) is UNKNOWN
-        assert CORE.lookup_pi(SU(8), 19) is UNKNOWN
+        assert CORE.lookup_pi(Sphere(3), 40) is None
+        assert CORE.lookup_pi(SU(8), 19) is None
 
     def test_absent_keys_never_default(self):
         rng = random.Random(13)
@@ -118,7 +117,7 @@ class TestLookups:
             else:
                 space = SU(rng.randint(9, 40))
             degree = rng.randint(0, 60)
-            assert table.lookup_pi(space, degree) is UNKNOWN
+            assert table.lookup_pi(space, degree) is None
 
     def test_every_entry_cites(self):
         for entry in default_table().entries():
@@ -128,6 +127,21 @@ class TestLookups:
         assert CORE.lookup_pi(Sp(1), 6) == cyclic(12)
         assert CORE.lookup_pi(Spin(5), 4) == cyclic(2)
         assert CORE.lookup_pi(Spin(6), 4) == AbelianGroup(0, ())
+
+
+@pytest.mark.parametrize(
+    "lookup, args",
+    [
+        ("entry", (Sphere(3), 40)),
+        ("lookup_pi", (Sphere(3), 40)),
+        ("connecting_order", (SU(3), 6)),
+        ("connecting_citation", (SU(3), 6)),
+        ("attaching_image", (6, 5)),
+        ("suspended_image", (6, 5)),
+    ],
+)
+def test_every_lookup_marks_an_absent_key_with_none(lookup, args):
+    assert getattr(CORE, lookup)(*args) is None
 
 
 class TestPi6Order:
@@ -159,7 +173,7 @@ class TestConnectingOrders:
         assert CORE.connecting_order(Sp(1), 4) == 12
 
     def test_absent(self):
-        assert CORE.connecting_order(SU(3), 6) is UNKNOWN
+        assert CORE.connecting_order(SU(3), 6) is None
 
     def test_user_override(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -236,7 +250,7 @@ class TestStableRule:
                 continue
             for degree in (q - 1, n - 1, n + q - 1):
                 shipped = CORE.lookup_pi(group, degree)
-                if shipped is UNKNOWN:
+                if shipped is None:
                     continue
                 assert stable_pi_rule(group, n, q, degree) == shipped
 
@@ -255,7 +269,7 @@ def test_stable_rule_sweep_against_all_shipped_entries():
                     continue
                 for degree in (q - 1, n - 1, n + q - 1):
                     shipped = table.lookup_pi(group, degree)
-                    if shipped is UNKNOWN:
+                    if shipped is None:
                         continue
                     assert stable_pi_rule(group, n, q, degree) == shipped, (
                         group, n, q, degree,
