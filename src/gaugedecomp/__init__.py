@@ -26,7 +26,6 @@ from .classify import (
 )
 from .decompose import (
     EquivalenceVerdict,
-    GaugeLevel,
     LoopSpace,
     MapStar,
     ProductExpr,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from ._record import Record, set_field
-from .abelian import AbelianGroup
 from .manifolds import ConnectedSumSpec, suspension_rank
 from .tables import (
     HomotopyTable,
@@ -130,7 +129,7 @@ def stable_wedge_formula(
     try:
         low_mult = spec.r - suspension_rank(spec, table)
     except LookupError:
-        if isinstance(pi_q1, AbelianGroup) and pi_q1.is_trivial:
+        if pi_q1 is not None and pi_q1.is_trivial:
             low_mult = spec.r
         else:
             raise

@@ -32,31 +32,12 @@ from .tables import (
 )
 
 
-class GaugeLevel(Record):
-    """Level of a gauge group over a sphere: gcd of the connecting-map
-    order with the classifying tuple.
-
-    With a known order the level is stored fully reduced (it is a divisor
-    of the order); with the order unknown only the gcd of the classifying
-    tuple is kept and the level stays symbolic.
-    """
-
-    __slots__ = ("order", "k_gcd")
-
-    @classmethod
-    def make(cls, order: int | None, ks: Sequence[int]) -> "GaugeLevel":
-        return cls(order, math.gcd(*ks) if order is None else math.gcd(order, *ks))
-
-    @property
-    def known(self) -> bool:
-        return self.order is not None
-
-    def __str__(self):
-        return str(self.k_gcd) if self.known else f"gcd(o(d_1), {self.k_gcd})"
-
-
 class SphereGauge(Record):
-    """Gauge group of the level-l bundle over a single sphere."""
+    """Gauge group of the level-l bundle over a single sphere.
+
+    ``level`` is the int gcd(o, K) for a connecting-map order o in the
+    tables, or the text ``gcd(o(d_1), gcd K)`` when o is not.
+    """
 
     __slots__ = ("group", "base_dim", "level")
 
@@ -126,9 +107,7 @@ class ProductExpr(Record):
             if isinstance(factor, SphereGauge):
                 entry["kind"] = "sphere_gauge"
                 entry["base_dim"] = factor.base_dim
-                entry["level"] = (
-                    factor.level.k_gcd if factor.level.known else str(factor.level)
-                )
+                entry["level"] = factor.level
             elif isinstance(factor, LoopSpace):
                 entry["kind"] = "loop_space"
                 entry["degree"] = factor.degree
@@ -157,7 +136,10 @@ def _check_length(ks: Sequence[int], r: int) -> None:
 
 def _wedge_part(group, n: int, r: int, ks: tuple[int, ...], table: HomotopyTable) -> list:
     """The wedge lemma: G^k(S^n) at the level of ``ks``, times (Omega^n G)^(r-1)."""
-    level = GaugeLevel.make(table.connecting_order(group, n), ks)
+    order = table.connecting_order(group, n)
+    level = math.gcd(order or 0, *ks)
+    if order is None:
+        level = f"gcd(o(d_1), {level})"
     return [(SphereGauge(group, n, level), 1), (LoopSpace(group, n), r - 1)]
 
 
@@ -250,9 +232,8 @@ def gauge_equivalent(
     _check_length(ks2, spec.r)
     table = _require_decomposable(group, spec, table)
     order = table.connecting_order(group, spec.n)
-    l1, l2 = GaugeLevel.make(order, ks), GaugeLevel.make(order, ks2)
-    g1, g2 = l1.k_gcd, l2.k_gcd
-    if not l1.known:
+    g1, g2 = math.gcd(order or 0, *ks), math.gcd(order or 0, *ks2)
+    if order is None:
         if g1 == g2:
             return EquivalenceVerdict(
                 "Equivalent",

@@ -10,7 +10,6 @@ from gaugedecomp import (
     E8,
     F4,
     G2,
-    GaugeLevel,
     LoopSpace,
     MapStar,
     Modulus,
@@ -41,12 +40,12 @@ def factor_map(expr):
 class TestLevel:
 
     def test_gauge_level_canonicalizes(self):
-        a = GaugeLevel.make(12, (2, 6))
-        b = GaugeLevel.make(12, (14, 6))
+        a = gauge_decomposition(SU(2), SPEC, (2, 6))
+        b = gauge_decomposition(SU(2), SPEC, (14, 6))
         assert a == b
-        assert str(a) == "2"
-        sym = GaugeLevel.make(None, (4, 6))
-        assert str(sym) == "gcd(o(d_1), 2)"
+        assert str(a).startswith("G^2(S^4) x ")
+        sym = gauge_decomposition(SU(5), ConnectedSumSpec(6, 3, (0, 0)), (4, 6))
+        assert str(sym).startswith("G^gcd(o(d_1), 2)(S^6) x ")
 
 
 class TestUnpointed:
@@ -55,7 +54,7 @@ class TestUnpointed:
         expr = gauge_decomposition(SU(2), SPEC, (5, 7))
         fm = factor_map(expr)
         gauge = [f for f in fm if isinstance(f, SphereGauge)]
-        assert len(gauge) == 1 and gauge[0].level.known and gauge[0].level.k_gcd == 1
+        assert len(gauge) == 1 and gauge[0].level == 1
         assert gauge[0].base_dim == 4
         assert fm[LoopSpace(SU(2), 4)] == 1
         assert fm[LoopSpace(SU(2), 3)] == 1
@@ -69,7 +68,7 @@ class TestUnpointed:
         expr = gauge_decomposition(SU(5), spec, (0, 0))
         fm = factor_map(expr)
         gauge = [f for f in fm if isinstance(f, SphereGauge)][0]
-        assert not gauge.level.known
+        assert gauge.level == "gcd(o(d_1), 0)"
         assert gauge.base_dim == 6
         assert fm[LoopSpace(SU(5), 6)] == 1
         assert fm[LoopSpace(SU(5), 3)] == 2  # rank 0 keeps both copies

@@ -1,4 +1,5 @@
-"""Property tests of the exact kernel against independent oracles.
+"""Property tests of the exact kernel against independent oracles, and of
+the equivalence verdicts against the decompositions they summarize.
 
 Examples are derandomized and bounded, so every run checks the same
 inputs and the suite stays fast.
@@ -7,16 +8,27 @@ inputs and the suite stays fast.
 import math
 import random
 
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugedecomp import (
     AbelianGroup,
     ConnectedSumSpec,
+    E8,
+    G2,
     IntMatrix,
     MixedMatrix,
     Modulus,
+    Sp,
+    SU,
+    classify_conditions,
+    default_table,
+    gauge_decomposition,
+    gauge_equivalent,
     is_echelon,
+    load_tables,
     orbit_reduce,
     row_echelon_int,
     row_echelon_mixed,
@@ -165,3 +177,36 @@ def test_suspension_rank_ignores_order_and_signs(xi, rng):
     rng.shuffle(moved)
     base = suspension_rank(ConnectedSumSpec(4, 3, tuple(xi)))
     assert suspension_rank(ConnectedSumSpec(4, 3, tuple(moved))) == base
+
+
+# The core table alone, and the core with a connecting order for G2 over
+# S^4, so that both the known-order and the unknown-order levels are met.
+TABLES = (default_table(), load_tables([Path(__file__).parent / "data" / "cli_orders.json"]))
+GROUPS = (SU(2), SU(3), SU(4), Sp(2), G2, E8, SU(5), SU(6))
+small_ints = st.integers(-40, 40)
+
+
+@st.composite
+def equivalence_inputs(draw):
+    n, q = draw(st.sampled_from([(4, 3), (6, 3), (6, 5), (8, 7), (8, 3)]))
+    r = draw(st.integers(1, 4))
+    xi, ks, ks2 = (tuple(draw(st.lists(small_ints, min_size=r, max_size=r))) for _ in range(3))
+    return ConnectedSumSpec(n, q, xi), ks, ks2
+
+
+@settings(PROFILE, max_examples=150)
+@given(equivalence_inputs())
+def test_equivalent_exactly_when_decompositions_agree(case):
+    spec, ks, ks2 = case
+    for table in TABLES:
+        for group in GROUPS:
+            if not classify_conditions(group, spec, table).is_bijective:
+                continue
+            try:
+                same = gauge_decomposition(group, spec, ks, table) == gauge_decomposition(
+                    group, spec, ks2, table
+                )
+            except LookupError:
+                continue
+            verdict = gauge_equivalent(group, spec, ks, ks2, table).verdict
+            assert (verdict == "Equivalent") == same, (group, verdict)

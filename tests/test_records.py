@@ -17,7 +17,6 @@ from gaugedecomp import (
     CofibreDescriptor,
     ConnectedSumSpec,
     EquivalenceVerdict,
-    GaugeLevel,
     GroupElement,
     IntMatrix,
     LieGroup,
@@ -42,7 +41,6 @@ UNIT = GroupElement(Z12, (1,))
 SU2 = LieGroup("SU", 2)
 CASE = ClassificationCase("SU_stable", "")
 COFIBRE = CofibreDescriptor(1, 3, 7, (UNIT,), True)
-LEVEL = GaugeLevel(12, 1)
 CERT = orbit_reduce(Modulus(12), (6, 4))
 
 CASES = [
@@ -65,8 +63,7 @@ CASES = [
     (ClassificationCase, {"kind": "Unsupported", "reason": "why"}),
     (BundleFormula, {"terms": ((AbelianGroup(1, ()), 2),), "residual": "[Y_F, BG]"}),
     (BundleClassification, {"case": CASE, "free_rank": 2, "formula": None, "note": "n"}),
-    (GaugeLevel, {"order": 12, "k_gcd": 1}),
-    (SphereGauge, {"group": SU2, "base_dim": 4, "level": LEVEL}),
+    (SphereGauge, {"group": SU2, "base_dim": 4, "level": 1}),
     (LoopSpace, {"space": SU2, "degree": 4}),
     (MapStar, {"cofibre": COFIBRE, "group": SU2}),
     (ProductExpr, {"factors": ((LoopSpace(SU2, 3), 1),)}),
@@ -166,7 +163,6 @@ def test_cross_class_equal_fields_are_unequal():
 def test_literal_reprs():
     assert repr(Modulus(12)) == "Modulus(m=12)"
     assert repr(AbelianGroup(1, (2,))) == "AbelianGroup(free_rank=1, torsion=(2,))"
-    assert repr(GaugeLevel(None, 3)) == "GaugeLevel(order=None, k_gcd=3)"
 
 
 def test_keyword_defaults():
