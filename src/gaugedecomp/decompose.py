@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from ._record import Record
 from .abelian import AbelianGroup, cardinality, direct_sum
 from .classify import classify_conditions
-from .manifolds import ConnectedSumSpec, cofibre_space, suspension_rank
+from .manifolds import ConnectedSumSpec, _suspended_image, cofibre_space, suspension_rank
 from .tables import (
     SU,
     HomotopyTable,
@@ -225,12 +225,16 @@ def gauge_equivalent(
 
     NotEquivalent is only ever emitted on the SU(2) branch over
     (n, q) = (4, 3), where the criterion is an iff; other branches return
-    Equivalent on equal levels and Unknown otherwise.
+    Equivalent on equal levels and Unknown otherwise.  A spec whose
+    decomposition the tables cannot build raises the MissingTableError that
+    ``gauge_decomposition`` raises, found by a table lookup alone.
     """
     ks, ks2 = tuple(ks), tuple(ks2)
     _check_length(ks, spec.r)
     _check_length(ks2, spec.r)
     table = _require_decomposable(group, spec, table)
+    if any(spec.xi):  # all-zero twists have rank 0 and need no image data
+        _suspended_image(spec, table)
     order = table.connecting_order(group, spec.n)
     g1, g2 = math.gcd(order or 0, *ks), math.gcd(order or 0, *ks2)
     if order is None:

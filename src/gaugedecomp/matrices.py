@@ -18,6 +18,10 @@ Entries are made exact ints by ``operator.index`` and reduced per column,
 once on the way in: by the ``IntMatrix`` and ``MixedMatrix`` constructors.
 Row operations keep them that way, so D and B are built from the
 reducer's rows without a second pass through a constructor.
+
+D's determinant is tracked, not computed: a row swap or negation flips
+its sign and a row addition keeps it.  ``D.det()`` returns that sign in
+O(1); a constructor-built matrix still goes through Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .residues import INTEGERS, Modulus, Residue, bezout, gcd_mod, invariant_fac
 
 
 class _OnDemand(Record):
-    __slots__ = ("_sparse",)  # D's sparse rows until its entries are built: not a record field
+    __slots__ = ("_sparse", "_sign")  # D's sparse rows until built and its det: not fields
 
     def __getattr__(self, name):  # runs only when normal lookup fails, as for an unset slot
         if name != "entries":
@@ -105,7 +109,10 @@ class IntMatrix(_OnDemand):
         )
 
     def det(self) -> int:
-        """Exact determinant via Bareiss fraction-free elimination."""
+        """Exact determinant: a reduction's tracked sign, or else Bareiss."""
+        sign = getattr(self, "_sign", None)
+        if sign is not None:
+            return sign
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         n = self.rows
@@ -199,25 +206,18 @@ class MixedMatrix(Record):
     entry, row, to_lists = IntMatrix.entry, IntMatrix.row, IntMatrix.to_lists  # same layout
 
 
-class _Det(Record):
-    __slots__ = ("det",)  # a derived value: not among a subclass's record fields
-
-
-class OrbitCertificate(_Det):
+class OrbitCertificate(Record):
     """Witness that a unimodular transform carries a vector to (d, 0, ..., 0).
 
     ``transform`` has determinant +-1 and transform @ input is congruent,
     coordinate-wise mod m, to ``canonical`` = (d, 0, ..., 0) where d is the
-    gcd of the input representatives together with m.  ``det``, kept from
-    the unimodularity check, follows from ``transform``: its slot is not a
-    record field, so equality, repr and pickling ignore it.
+    gcd of the input representatives together with m.
     """
 
     __slots__ = ("modulus", "transform", "canonical")
 
     def __init__(self, modulus: Modulus, transform: IntMatrix, canonical: tuple[Residue, ...]):
-        det = transform.det()
-        if det not in (1, -1):
+        if transform.det() not in (1, -1):
             raise ValueError("certificate transform is not unimodular")
         if any(x.value != 0 for x in canonical[1:]):
             raise ValueError("canonical form must vanish past the first slot")
@@ -231,7 +231,11 @@ class OrbitCertificate(_Det):
         set_field(self, "modulus", modulus)
         set_field(self, "transform", transform)
         set_field(self, "canonical", canonical)
-        set_field(self, "det", det)
+
+    @property
+    def det(self) -> int:
+        """The transform's determinant, +-1; O(1) for a transform a reduction built."""
+        return self.transform.det()
 
     @property
     def divisor(self) -> int:
@@ -253,24 +257,30 @@ class _Reducer:
 
     Holds the working matrix, whose rows must arrive as exact ints reduced
     per column modulus and stay so, and the accumulated integer transform;
-    every operation is elementary, so the transform always has
-    determinant +-1.  The column moduli are kept as plain ints (0 for a Z
-    column).  Each transform row is a dict {column: coefficient} starting at
-    {i: 1}, so a row addition walks only the source row's support.
+    every operation is elementary, so the transform's determinant is
+    ``sign``: a swap of two rows or a negation flips it, an addition keeps
+    it.  The column moduli are kept as plain ints (0 for a Z column).  Each
+    transform row is a dict {column: coefficient} starting at {i: 1}, so a
+    row addition walks only the source row's support.  A row addition
+    starts at the column ``col`` being reduced, as its source row (a pivot
+    row, or one below the pivots) is zero left of ``col``.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], moduli: Sequence[Modulus]):
         self.moduli = tuple(mod.m for mod in moduli)
         self.mat = list(map(list, rows))
         self.transform = [{i: 1} for i in range(len(self.mat))]
+        self.sign = 1
 
-    def add(self, dst: int, src: int, c: int) -> None:
+    def add(self, dst: int, src: int, c: int, col: int) -> None:
         if c == 0 or dst == src:
             return
         row_d, row_s = self.mat[dst], self.mat[src]
-        for j, m in enumerate(self.moduli):
+        j = col  # a plain counter: enumerate or range(col, n) cost more on one-column matrices
+        for m in self.moduli[col:]:
             v = row_d[j] + c * row_s[j]
             row_d[j] = v % m if m else v
+            j += 1
         t_d = self.transform[dst]
         for j, v in self.transform[src].items():
             t_d[j] = t_d.get(j, 0) + c * v
@@ -278,18 +288,22 @@ class _Reducer:
     def swap(self, i: int, j: int) -> None:
         self.mat[i], self.mat[j] = self.mat[j], self.mat[i]
         self.transform[i], self.transform[j] = self.transform[j], self.transform[i]
+        self.sign = -self.sign
 
     def negate(self, i: int) -> None:
         self.mat[i] = [-v % m if m else -v for m, v in zip(self.moduli, self.mat[i])]
         self.transform[i] = {j: -v for j, v in self.transform[i].items()}
+        self.sign = -self.sign
 
 
-def _dense_transform(rows: list[dict[int, int]]) -> IntMatrix:
-    """D over its sparse rows; its dense entries are built on first read.  Its
-    coefficients are exact ints, as the reducer's entries are, so the
-    constructor's type scan is not needed."""
+def _dense_transform(red: _Reducer) -> IntMatrix:
+    """D over the reducer's sparse rows, with its sign; its dense entries are
+    built on first read.  Its coefficients are exact ints, as the reducer's
+    entries are, so the constructor's type scan is not needed."""
+    rows = red.transform
     d = _trusted(IntMatrix, len(rows), len(rows))  # entries left unset
     set_field(d, "_sparse", rows)
+    set_field(d, "_sign", red.sign)
     return d
 
 
@@ -325,7 +339,7 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
         x_i = red.mat[i][col]
         for j in live:
             if j != i:
-                red.add(j, i, -(red.mat[j][col] // x_i))
+                red.add(j, i, -(red.mat[j][col] // x_i), col)
         live = [k for k in range(top, bottom) if red.mat[k][col] != 0]
 
     i = live[0]
@@ -339,8 +353,8 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
             if i != top + 1:
                 red.swap(i, top + 1)
             _, a, _ = bezout(x, m)
-            red.add(top, top + 1, a)
-            red.add(top + 1, top, -(x // d))
+            red.add(top, top + 1, a, col)
+            red.add(top + 1, top, -(x // d), col)
             return True
     if i != top:
         red.swap(i, top)
@@ -366,8 +380,8 @@ def _echelon(
         d = red.mat[p][col]
         for i in range(p):
             q = red.mat[i][col] // d
-            red.add(i, p, -q)
-    return _dense_transform(red.transform), tuple(chain.from_iterable(red.mat))
+            red.add(i, p, -q, col)
+    return _dense_transform(red), tuple(chain.from_iterable(red.mat))
 
 
 def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertificate:

@@ -10,6 +10,7 @@ import random
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,14 @@ from gaugedecomp import (
     smith_invariants,
     suspension_rank,
 )
-from oracles import check_reads_as_eager, diagonal, random_unimodular, smith_by_factorization, unread
+from oracles import (
+    bareiss_det,
+    check_reads_as_eager,
+    diagonal,
+    random_unimodular,
+    smith_by_factorization,
+    unread,
+)
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -115,7 +123,7 @@ def test_echelon_transform_is_a_unimodular_certificate(case):
         d, b = row_echelon_int(IntMatrix.from_rows(rows))
     assert product_mod(d, rows, moduli) == b.to_lists()
     assert set(map(type, d.entries)) == {int}
-    assert d.det() in (1, -1)
+    assert d.det() == bareiss_det(d.to_lists()) in (1, -1)
     assert is_echelon(b)
 
 
@@ -160,10 +168,41 @@ def test_orbit_certificates_verify(m, x):
     assert cert.verify(x)
     assert set(map(type, cert.transform.entries)) == {int}
     assert math.gcd(m, cert.canonical[0].value) == math.gcd(m, *x)
-    assert cert.det == cert.transform.det()
+    assert cert.det == bareiss_det(cert.transform.to_lists()) in (1, -1)
     reduced = orbit_reduce(Modulus(m), [v % m if m else int(v) for v in x])
     assert (reduced.transform, reduced.canonical) == (cert.transform, cert.canonical)
     check_reads_as_eager(cert.transform)
+
+
+MODULI = (0, 1, 2, 12, 97, 2**61 - 1)
+big_ints = st.integers(-(2**64), 2**64)
+
+
+@st.composite
+def reductions(draw):
+    """One reduction's transform D: an integer or mixed echelon of up to 8 x 8,
+    or the orbit reduction of a vector of length 2..40."""
+    kind = draw(st.sampled_from(["int", "mixed", "orbit"]))
+    if kind == "orbit":
+        m = draw(st.sampled_from(MODULI))
+        return orbit_reduce(Modulus(m), draw(st.lists(big_ints, min_size=2, max_size=40))).transform
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.one_of(st.sampled_from([0, 1, -1]), big_ints),
+                                  min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if kind == "int":
+        return row_echelon_int(IntMatrix.from_rows(rows))[0]
+    moduli = draw(st.lists(st.sampled_from(MODULI), min_size=ncols, max_size=ncols))
+    return row_echelon_mixed(MixedMatrix.from_rows([Modulus(m) for m in moduli], rows))[0]
+
+
+@settings(PROFILE, max_examples=150)
+@given(reductions())
+def test_tracked_sign_is_the_determinant(d):
+    # Asked before D's entries exist, det() can only be the sign the
+    # reduction tracked; the oracle then computes det from the entries.
+    sign = d.det()
+    assert unread(d)
+    assert sign == bareiss_det(d.to_lists())
 
 
 @PROFILE
@@ -206,7 +245,11 @@ def test_equivalent_exactly_when_decompositions_agree(case):
                 same = gauge_decomposition(group, spec, ks, table) == gauge_decomposition(
                     group, spec, ks2, table
                 )
-            except LookupError:
+            except LookupError as refused:
+                # What cannot be decomposed cannot be judged equivalent either.
+                with pytest.raises(LookupError) as raised:
+                    gauge_equivalent(group, spec, ks, ks2, table)
+                assert str(raised.value) == str(refused)
                 continue
             verdict = gauge_equivalent(group, spec, ks, ks2, table).verdict
             assert (verdict == "Equivalent") == same, (group, verdict)
