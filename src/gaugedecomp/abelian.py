@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import index
 
 from ._record import Record, set_field
 from .residues import invariant_factors
@@ -27,9 +28,9 @@ class AbelianGroup(Record):
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        free_rank, torsion = index(free_rank), tuple(map(index, torsion))
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        torsion = tuple(torsion)
         for s in torsion:
             if s < 2:
                 raise ValueError(f"torsion orders must be >= 2, got {s}")
@@ -94,10 +95,11 @@ class GroupElement(Record):
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: AbelianGroup, coeffs: tuple[int, ...]):
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != group.generator_count:
             raise ValueError(f"expected {group.generator_count} coefficients, got {len(coeffs)}")
         free = group.free_rank
-        reduced = tuple(coeffs[:free]) + tuple(
+        reduced = coeffs[:free] + tuple(
             c % s for c, s in zip(coeffs[free:], group.torsion)
         )
         set_field(self, "group", group)

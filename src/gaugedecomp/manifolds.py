@@ -16,11 +16,12 @@ and the descriptors computed from them are immutable.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import index
 
 from ._record import Record, exact, read_field, read_ints, set_field
 from .abelian import GroupElement
-from .matrices import MixedMatrix, echelon_rank, row_echelon_mixed
+from .matrices import MixedMatrix, _trusted, echelon_rank, row_echelon_mixed
 from .residues import Modulus
 from .tables import HomotopyTable, MissingTableError, _require_table
 
@@ -53,9 +54,22 @@ class ConnectedSumSpec(Record):
 
 
 def _image_matrix(spec: ConnectedSumSpec, image) -> MixedMatrix:
+    """The twist matrix, its entries xi_i * c_j reduced per column in one pass.
+
+    Twists, moduli and coefficients are exact ints (their constructors apply
+    ``operator.index``), so the record is built without the constructor's scan.
+    """
     target = image.target
     moduli = (Modulus(0),) * target.free_rank + tuple(map(Modulus, target.torsion))
-    return MixedMatrix(spec.r, moduli, tuple(v * c for v in spec.xi for c in image.coeffs))
+    if not moduli:  # the constructor's error for a zero-column matrix
+        return MixedMatrix(spec.r, moduli, ())
+    xi = spec.xi
+    cols = [
+        [v * c % m for v in xi] if m else [v * c for v in xi]
+        for c, m in zip(image.coeffs, [mod.m for mod in moduli])
+    ]
+    entries = tuple(cols[0]) if len(cols) == 1 else tuple(chain.from_iterable(zip(*cols)))
+    return _trusted(MixedMatrix, spec.r, moduli, entries)
 
 
 def _suspended_image(spec: ConnectedSumSpec, table: HomotopyTable | None):

@@ -15,9 +15,10 @@ entries are built from those rows on first read, a row at a time: r^2
 cells filled at C level, and none by a caller that only wants the rank.
 
 Entries are made exact ints by ``operator.index`` and reduced per column,
-once on the way in: by the ``IntMatrix`` and ``MixedMatrix`` constructors.
-Row operations keep them that way, so D and B are built from the
-reducer's rows without a second pass through a constructor.
+once on the way in: by the ``IntMatrix`` and ``MixedMatrix`` constructors,
+and by ``manifolds._image_matrix``, which builds the twist matrix from
+products of exact ints.  Row operations keep them that way, so D and B are
+built from the reducer's rows without a second pass through a constructor.
 
 D's determinant is tracked, not computed: a row swap or negation flips
 its sign and a row addition keeps it.  ``D.det()`` returns that sign in
@@ -255,8 +256,9 @@ class OrbitCertificate(Record):
 class _Reducer:
     """Row-operation workspace of the echelon forms.
 
-    Holds the working matrix, whose rows must arrive as exact ints reduced
-    per column modulus and stay so, and the accumulated integer transform;
+    Holds the working matrix, whose rows arrive as lists of exact ints
+    reduced per column modulus and stay so (the reducer owns those lists and
+    changes them in place), and the accumulated integer transform;
     every operation is elementary, so the transform's determinant is
     ``sign``: a swap of two rows or a negation flips it, an addition keeps
     it.  The column moduli are kept as plain ints (0 for a Z column).  Each
@@ -266,9 +268,9 @@ class _Reducer:
     row, or one below the pivots) is zero left of ``col``.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], moduli: Sequence[Modulus]):
+    def __init__(self, rows: list[list[int]], moduli: Sequence[Modulus]):
         self.moduli = tuple(mod.m for mod in moduli)
-        self.mat = list(map(list, rows))
+        self.mat = rows
         self.transform = [{i: 1} for i in range(len(self.mat))]
         self.sign = 1
 
@@ -335,8 +337,9 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
     # Euclid across rows: subtract quotient multiples of the smallest
     # entry until at most one coordinate survives.
     while len(live) >= 2:
-        i = min(live, key=lambda k: (red.mat[k][col], k))
-        x_i = red.mat[i][col]
+        vals = [red.mat[k][col] for k in live]
+        x_i = min(vals)
+        i = live[vals.index(x_i)]  # live ascends, so a tie goes to the lowest row
         for j in live:
             if j != i:
                 red.add(j, i, -(red.mat[j][col] // x_i), col)
@@ -364,8 +367,7 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
 def _echelon(
     a: IntMatrix | MixedMatrix, moduli: Sequence[Modulus]
 ) -> tuple[IntMatrix, tuple[int, ...]]:
-    e, c = a.entries, len(moduli)
-    red = _Reducer([e[i * c : (i + 1) * c] for i in range(a.rows)], moduli)
+    red = _Reducer(list(map(list, zip(*[iter(a.entries)] * len(moduli)))), moduli)
     nrows = len(red.mat)
     top = 0
     pivots = []

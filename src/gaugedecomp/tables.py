@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from functools import lru_cache
+from operator import index
 
 from ._record import Record, decode_json, exact, read_field, read_file, read_ints, set_field
 from .abelian import AbelianGroup, cardinality
@@ -143,6 +144,7 @@ class GeneratorImage(Record):
     __slots__ = ("target", "coeffs", "citation")
 
     def __init__(self, target: AbelianGroup, coeffs: tuple[int, ...], citation: str):
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != target.generator_count:
             raise ValueError("image coefficients do not match the target generators")
         set_field(self, "target", target)

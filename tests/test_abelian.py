@@ -31,6 +31,21 @@ class TestGroupConstruction:
         assert AbelianGroup.from_orders(0, (0, 3)) == AbelianGroup(1, (3,))
         assert AbelianGroup.from_orders(2, (1, 1)) == AbelianGroup(2, ())
 
+    @pytest.mark.parametrize("make", [
+        lambda: AbelianGroup(0, (12.0,)),
+        lambda: AbelianGroup(1.0, ()),
+        lambda: AbelianGroup("1", ()),
+        lambda: AbelianGroup(0, ("12",)),
+    ])
+    def test_non_integers_raise_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_bools_read_as_zero_or_one(self):
+        g = AbelianGroup(True, [2])
+        assert g == AbelianGroup(1, (2,)) and str(g) == "Z (+) Z/2"
+        assert type(g.free_rank) is int and type(g.torsion) is tuple
+
     def test_rendering(self):
         assert str(TRIVIAL_GROUP) == "0"
         assert str(Z) == "Z"
@@ -71,6 +86,15 @@ class TestElements:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             GroupElement(cyclic(4), (1, 2))
+
+    @pytest.mark.parametrize("coeffs", [(1.5,), ("1",)])
+    def test_non_integer_coefficients_raise_type_error(self, coeffs):
+        with pytest.raises(TypeError):
+            GroupElement(AbelianGroup(1), coeffs)
+
+    def test_bool_coefficients_read_as_zero_or_one(self):
+        x = GroupElement(AbelianGroup(1, (4,)), [True, 5])
+        assert x.coeffs == (1, 1) and all(type(c) is int for c in x.coeffs)
 
     def test_arithmetic(self):
         g = AbelianGroup(1, (5,))

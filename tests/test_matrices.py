@@ -207,6 +207,33 @@ class TestEchelonMixed:
             assert entries_mod(product, moduli) == b.to_lists()
 
 
+class TestPivotTies:
+    """The Euclid pass pivots on the lowest of equally small rows.
+
+    D and B are pinned: a pivot search that broke ties another way would
+    still give an echelon form, but a different D.
+    """
+
+    @pytest.mark.parametrize("m", [0, 12])
+    def test_tie_between_rows_one_and_two(self, m):
+        d, b = row_echelon_mixed(MixedMatrix.from_rows([Modulus(m)], [[6], [4], [4]]))
+        assert d.to_lists() == [[1, -1, 0], [-2, 3, 0], [0, -1, 1]]
+        assert b.to_lists() == [[2], [0], [0]]
+        assert d.det() == 1
+
+    def test_tie_over_z_in_an_integer_matrix(self):
+        d, b = row_echelon_int(IntMatrix.from_rows([[6], [4], [4]]))
+        assert d.to_lists() == [[1, -1, 0], [-2, 3, 0], [0, -1, 1]]
+        assert b.to_lists() == [[2], [0], [0]]
+
+    @pytest.mark.parametrize("m", [0, 12])
+    def test_tie_that_ends_with_a_swap(self, m):
+        d, b = row_echelon_mixed(MixedMatrix.from_rows([Modulus(m)], [[9], [3], [6], [3]]))
+        assert d.to_lists() == [[0, 1, 0, 0], [1, -3, 0, 0], [0, -2, 1, 0], [0, -1, 0, 1]]
+        assert b.to_lists() == [[3], [0], [0], [0]]
+        assert d.det() == -1
+
+
 class TestEchelonRank:
 
     def test_examples(self):

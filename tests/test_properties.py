@@ -36,6 +36,8 @@ from gaugedecomp import (
     smith_invariants,
     suspension_rank,
 )
+from gaugedecomp.manifolds import _image_matrix
+from gaugedecomp.tables import GeneratorImage
 from oracles import (
     bareiss_det,
     check_reads_as_eager,
@@ -216,6 +218,35 @@ def test_suspension_rank_ignores_order_and_signs(xi, rng):
     rng.shuffle(moved)
     base = suspension_rank(ConnectedSumSpec(4, 3, tuple(xi)))
     assert suspension_rank(ConnectedSumSpec(4, 3, tuple(moved))) == base
+
+
+@st.composite
+def twist_images(draw):
+    """A spec and a generator image: Z^0..2 (+) a torsion chain, any coefficients."""
+    free = draw(st.integers(0, 2))
+    torsion = []
+    for step in draw(st.lists(st.integers(1, 12), max_size=3)):
+        torsion.append((torsion[-1] if torsion else 2) * step)  # 2 <= s_1 | s_2 | ...
+    target = AbelianGroup(free, tuple(torsion))
+    big = st.one_of(st.integers(-(2**64), 2**64), st.booleans())
+    coeffs = draw(st.lists(big, min_size=target.generator_count, max_size=target.generator_count))
+    xi = draw(st.lists(big, min_size=1, max_size=30))
+    return ConnectedSumSpec(4, 3, tuple(xi)), GeneratorImage(target, tuple(coeffs), "drawn")
+
+
+@settings(PROFILE, max_examples=100)
+@given(twist_images())
+def test_twist_matrix_matches_the_constructor(case):
+    spec, image = case
+    moduli = [Modulus(0)] * image.target.free_rank + [Modulus(s) for s in image.target.torsion]
+    products = tuple(v * c for v in spec.xi for c in image.coeffs)
+    if not moduli:
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            _image_matrix(spec, image)
+        return
+    built = _image_matrix(spec, image)
+    assert built == MixedMatrix(spec.r, tuple(moduli), products)
+    assert type(built.entries) is tuple and set(map(type, built.entries)) == {int}
 
 
 # The core table alone, and the core with a connecting order for G2 over

@@ -26,7 +26,7 @@ from gaugedecomp import (
     pi6_order,
     stable_condition,
 )
-from gaugedecomp.tables import space_from_dict, space_to_dict, table_from_data
+from gaugedecomp.tables import GeneratorImage, space_from_dict, space_to_dict, table_from_data
 
 CORE = default_table()
 
@@ -286,3 +286,15 @@ def test_connecting_order_must_be_positive():
                  "citation": "bad"}
             ]
         })
+
+
+@pytest.mark.parametrize("coeffs", [(1.5,), (12.0,), ("1",)])
+def test_generator_image_refuses_non_integer_coefficients(coeffs):
+    with pytest.raises(TypeError):
+        GeneratorImage(AbelianGroup(0, (12,)), coeffs, "x")
+
+
+def test_generator_image_stores_exact_integer_coefficients():
+    image = GeneratorImage(AbelianGroup(1, (12,)), [True, 13], "x")
+    assert image.coeffs == (1, 13)
+    assert type(image.coeffs) is tuple and all(type(c) is int for c in image.coeffs)
