@@ -8,11 +8,17 @@ matrix (a reduction to a diagonal followed by the gcd/lcm fold of
 ``residues.invariant_factors``).  Everything is exact; there is no
 floating point anywhere.  Matrices and certificates are immutable.
 
-The reductions keep their unimodular transform D as sparse rows, so a
-row operation on D does Python-level work proportional to the support of
-its source row.  D is returned as an ``IntMatrix`` whose dense r x r
-entries are built from those rows on first read, a row at a time: r^2
-cells filled at C level, and none by a caller that only wants the rank.
+An echelon reduces each column on its own values.  The Euclid steps that
+place a column's pivot run on a one-column reducer, which records them as a
+transform U; U is then applied once to the rows' cells right of the column
+and to the rows of the unimodular transform D, instead of each step being
+applied to whole rows.  The last column, and so every one-column matrix,
+has nothing to its right and is reduced on the whole rows, as is a column
+whose entries all lie below 2^30, where U saves less than it costs.  D is
+kept as sparse rows, so combining its rows costs their support, and is
+returned as an ``IntMatrix`` whose dense r x r entries are built from
+those rows on first read, a row at a time: r^2 cells filled at C level,
+and none by a caller that only wants the rank.
 
 Entries are made exact ints by ``operator.index`` and reduced per column,
 once on the way in: by the ``IntMatrix`` and ``MixedMatrix`` constructors,
@@ -261,15 +267,20 @@ class _Reducer:
     changes them in place), and the accumulated integer transform;
     every operation is elementary, so the transform's determinant is
     ``sign``: a swap of two rows or a negation flips it, an addition keeps
-    it.  The column moduli are kept as plain ints (0 for a Z column).  Each
+    it.  The column moduli are plain ints (0 for a Z column).  Each
     transform row is a dict {column: coefficient} starting at {i: 1}, so a
     row addition walks only the source row's support.  A row addition
     starts at the column ``col`` being reduced, as its source row (a pivot
     row, or one below the pivots) is zero left of ``col``.
+
+    ``_echelon`` uses two: one over the whole matrix, whose transform is D,
+    and, for each column it defers, a one-column reducer over the rows not
+    yet holding a pivot, whose transform U ``_apply_segment`` then applies
+    to the first.
     """
 
-    def __init__(self, rows: list[list[int]], moduli: Sequence[Modulus]):
-        self.moduli = tuple(mod.m for mod in moduli)
+    def __init__(self, rows: list[list[int]], moduli: tuple[int, ...]):
+        self.moduli = moduli
         self.mat = rows
         self.transform = [{i: 1} for i in range(len(self.mat))]
         self.sign = 1
@@ -364,17 +375,58 @@ def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
     return True
 
 
+# A column whose entries all lie below this (one CPython digit) is reduced
+# on the whole rows, like the last: its Euclid takes few rounds, so U has
+# about as many coefficients as there are row operations to defer, and
+# building and applying U costs more than it saves.
+_DEFER_FROM = 1 << 30
+
+
+def _apply_segment(red: _Reducer, seg: _Reducer, col: int, top: int) -> None:
+    """Replace rows top.. of ``red`` by U times them, U being the transform
+    that ``seg`` built on their column ``col``: that column is ``seg``'s own,
+    each cell right of it and each row of D is the combination U names,
+    reduced by its column modulus once.  A row that U only moves or leaves
+    alone is kept as it is."""
+    rows, drows = red.mat[top:], red.transform[top:]
+    tail = red.moduli[col + 1 :]
+    lead = [0] * col  # rows top.. are zero left of ``col``
+    for i, u in enumerate(seg.transform):
+        if len(u) == 1:
+            ((k, c),) = u.items()
+            if c == 1:  # row k moved here, or row i left alone
+                red.mat[top + i], red.transform[top + i] = rows[k], drows[k]
+                continue
+        acc = [0] * len(tail)
+        d_row: dict[int, int] = {}
+        for k, c in u.items():
+            if c:
+                acc = [s + c * v for s, v in zip(acc, rows[k][col + 1 :])]
+                for j, v in drows[k].items():
+                    d_row[j] = d_row.get(j, 0) + c * v
+        red.mat[top + i] = lead + seg.mat[i] + [v % m if m else v for v, m in zip(acc, tail)]
+        red.transform[top + i] = d_row
+    red.sign *= seg.sign
+
+
 def _echelon(
     a: IntMatrix | MixedMatrix, moduli: Sequence[Modulus]
 ) -> tuple[IntMatrix, tuple[int, ...]]:
-    red = _Reducer(list(map(list, zip(*[iter(a.entries)] * len(moduli)))), moduli)
-    nrows = len(red.mat)
+    rows = list(map(list, zip(*[iter(a.entries)] * len(moduli))))
+    red = _Reducer(rows, tuple(mod.m for mod in moduli))
+    nrows, last = len(red.mat), len(moduli) - 1
     top = 0
     pivots = []
-    for col in range(len(red.moduli)):
+    for col, m in enumerate(red.moduli):
         if top == nrows:
             break
-        if _place_pivot(red, col, top, nrows):
+        if col == last or max(abs(row[col]) for row in red.mat[top:]) < _DEFER_FROM:
+            placed = _place_pivot(red, col, top, nrows)
+        else:
+            seg = _Reducer([[row[col]] for row in red.mat[top:]], (m,))
+            placed = _place_pivot(seg, 0, 0, nrows - top)
+            _apply_segment(red, seg, col, top)
+        if placed:
             pivots.append((top, col))
             top += 1
     # Hermite-style pass: reduce entries above each pivot into [0, pivot).

@@ -173,6 +173,91 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * prev
 
 
+def row_by_row_echelon(
+    moduli: list[int], rows: list[list[int]]
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """(D, B, det D) of the package's echelon reduction, recomputed by the
+    oracle's own copy of its pivot rule on plain lists.  Every row operation
+    is applied to the whole row of the matrix and to the whole row of D, each
+    cell reduced by its column modulus at once; det D is the product of the
+    signs of the swaps and negations.
+
+    Per column, rows from the first unplaced one down: over Z, negative
+    entries are negated; a single row over Z/m is negated if that gives a
+    smaller representative; otherwise the least nonzero entry (the lowest
+    row on a tie) subtracts its quotient multiples from the other nonzero
+    rows until one row survives, a survivor that is not yet its gcd with
+    the modulus is parked one row down and folded with the modulus by a
+    Bezout addition, and the pivot is swapped up.  A Hermite pass then
+    reduces the entries above each pivot into [0, pivot).
+    """
+    n = len(rows)
+    mat = [[v % m if m else int(v) for v, m in zip(row, moduli)] for row in rows]
+    d = [[int(i == j) for j in range(n)] for i in range(n)]
+    sign = 1
+
+    def add(dst, src, c):
+        mat[dst] = [(a + c * b) % m if m else a + c * b
+                    for a, b, m in zip(mat[dst], mat[src], moduli)]
+        d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
+
+    def swap(i, j):
+        nonlocal sign
+        if i != j:
+            mat[i], mat[j], d[i], d[j] = mat[j], mat[i], d[j], d[i]
+            sign = -sign
+
+    def negate(i):
+        nonlocal sign
+        mat[i] = [-v % m if m else -v for v, m in zip(mat[i], moduli)]
+        d[i] = [-v for v in d[i]]
+        sign = -sign
+
+    def inverse_mod(x, m):  # u with u * x == gcd(x, m) (mod m), by extended Euclid
+        r0, r1, u0, u1 = x, m, 1, 0
+        while r1:
+            q = r0 // r1
+            r0, r1, u0, u1 = r1, r0 - q * r1, u1, u0 - q * u1
+        return u0
+
+    pivots, top = [], 0
+    for col, m in enumerate(moduli):
+        if top == n:
+            break
+        if m == 0:
+            for i in range(top, n):
+                if mat[i][col] < 0:
+                    negate(i)
+        live = [i for i in range(top, n) if mat[i][col]]
+        if not live:
+            continue
+        if top == n - 1:
+            if m and m - mat[top][col] < mat[top][col]:
+                negate(top)
+        else:
+            while len(live) > 1:
+                low = min(live, key=lambda k: (mat[k][col], k))
+                x = mat[low][col]
+                for j in live:
+                    if j != low:
+                        add(j, low, -(mat[j][col] // x))
+                live = [i for i in range(top, n) if mat[i][col]]
+            i, x = live[0], mat[live[0]][col]
+            g = math.gcd(x, m)
+            if m and g < x:
+                swap(i, top + 1)
+                add(top, top + 1, inverse_mod(x, m))
+                add(top + 1, top, -(x // g))
+            else:
+                swap(i, top)
+        pivots.append((top, col))
+        top += 1
+    for p, col in pivots:
+        for i in range(p):
+            add(i, p, -(mat[i][col] // mat[p][col]))
+    return d, mat, sign
+
+
 def determinantal_invariants(mat: IntMatrix) -> tuple[int, ...]:
     """Invariant factors via gcds of k-by-k minors (determinantal divisors)."""
     nrows, ncols = mat.rows, mat.cols

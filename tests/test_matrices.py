@@ -394,11 +394,17 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "echelon_golden.json").rea
 class TestGoldenReplay:
     """The kernel's outputs on seeded inputs replay exactly as recorded.
 
-    ``tests/data/echelon_golden.json`` holds 40 echelon inputs (r = 1..64,
-    Z and Z/m columns with m up to 2^61 - 1, negative entries, entries at
-    or above m, zero rows, single-column twist matrices over Z/12, bools in
-    Z columns) and 12 orbit-reduce vectors, each with the D, B or transform
-    that the kernel returned before it stopped re-reducing its entries.
+    ``tests/data/echelon_golden.json`` holds 51 echelon inputs and 12
+    orbit-reduce vectors.  The first 40 echelon inputs (r = 1..64, Z and
+    Z/m columns with m up to 2^61 - 1, negative entries, entries at or above
+    m, zero rows, single-column twist matrices over Z/12, bools in Z
+    columns) and the orbit vectors carry the D, B or transform that the
+    kernel returned before it stopped re-reducing its entries.  The last 11
+    carry the D and B returned before each column was reduced on its own
+    values: square Z and mixed matrices of 8 x 8 (64 and 256 bits), 12 x 12
+    (64 bits) and 16 x 16 (8 bits) drawn as the dense-kernel benchmark draws
+    them, a 3 x 6 mixed matrix, a singular 5 x 5 one over Z, and a mixed
+    6 x 6 one whose zero first column places no pivot.
     Comparing JSON text makes a bool or a reordered row a failure.
     """
 

@@ -43,6 +43,7 @@ from oracles import (
     check_reads_as_eager,
     diagonal,
     random_unimodular,
+    row_by_row_echelon,
     smith_by_factorization,
     unread,
 )
@@ -158,6 +159,30 @@ def test_echelon_transform_is_built_on_first_read(case):
     for d in transforms:
         assert unread(d)
         check_reads_as_eager(d)
+
+
+@st.composite
+def dense_echelon_inputs(draw):
+    """1-7 rows, 1-5 columns, entries up to 64 bits, some columns forced to zero."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    moduli = draw(st.lists(st.sampled_from([0, 2, 12, 60, 2**61 - 1]), min_size=ncols, max_size=ncols))
+    zero = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    cell = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**64), 2**64))
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return moduli, [[0 if j in zero else v for j, v in enumerate(row)] for row in rows]
+
+
+@settings(PROFILE, max_examples=200)
+@given(dense_echelon_inputs())
+def test_echelon_matches_the_row_by_row_reduction(case):
+    # The kernel may defer a column's row operations and apply them in one
+    # combination; the result must be the oracle's, which applies each
+    # operation to the whole row at once.
+    moduli, rows = case
+    d, b = row_echelon_mixed(MixedMatrix.from_rows([Modulus(m) for m in moduli], rows))
+    assert (d.to_lists(), b.to_lists(), d.det()) == row_by_row_echelon(moduli, rows)
+    d, b = row_echelon_int(IntMatrix.from_rows(rows))
+    assert (d.to_lists(), b.to_lists(), d.det()) == row_by_row_echelon([0] * len(moduli), rows)
 
 
 @settings(PROFILE, max_examples=40)
