@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import itemgetter
 
 from ._record import Record
 from .abelian import AbelianGroup, cardinality, direct_sum
@@ -83,14 +84,22 @@ class ProductExpr(Record):
 
     @classmethod
     def build(cls, pairs: Sequence[tuple[Factor, int]]) -> "ProductExpr":
-        merged: dict[Factor, int] = {}
-        for factor, mult in pairs:
-            if mult > 0:
-                merged[factor] = merged.get(factor, 0) + mult
-        ordered = tuple(
-            sorted(merged.items(), key=lambda fm: fm[0].sort_key())
-        )
-        return cls(ordered)
+        """Factors of positive multiplicity by ``sort_key``, equal ones merged
+        within their run of equal keys, unhashed.  Only a direct caller passes
+        equal factors: no bijective clause admits n <= q, so a decomposition's
+        Omega^n G and Omega^q G differ."""
+        keyed = sorted([(f.sort_key(), f, m) for f, m in pairs if m > 0], key=itemgetter(0))
+        factors, keys = [], []
+        for key, factor, mult in keyed:
+            i = len(factors) - 1
+            while i >= 0 and keys[i] == key and factors[i][0] != factor:
+                i -= 1
+            if i >= 0 and keys[i] == key:
+                factors[i] = (factor, factors[i][1] + mult)
+            else:
+                factors.append((factor, mult))
+                keys.append(key)
+        return cls(tuple(factors))
 
     def __str__(self):
         if not self.factors:

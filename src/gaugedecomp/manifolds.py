@@ -21,8 +21,7 @@ from operator import index
 
 from ._record import Record, exact, read_field, read_ints, set_field
 from .abelian import GroupElement
-from .matrices import MixedMatrix, _trusted, echelon_rank, row_echelon_mixed
-from .residues import Modulus
+from .matrices import MixedMatrix, echelon_rank, row_echelon_mixed
 from .tables import HomotopyTable, MissingTableError, _require_table
 
 
@@ -59,17 +58,20 @@ def _image_matrix(spec: ConnectedSumSpec, image) -> MixedMatrix:
     Twists, moduli and coefficients are exact ints (their constructors apply
     ``operator.index``), so the record is built without the constructor's scan.
     """
-    target = image.target
-    moduli = (Modulus(0),) * target.free_rank + tuple(map(Modulus, target.torsion))
+    moduli, ints = image._moduli
     if not moduli:  # the constructor's error for a zero-column matrix
         return MixedMatrix(spec.r, moduli, ())
     xi = spec.xi
     cols = [
         [v * c % m for v in xi] if m else [v * c for v in xi]
-        for c, m in zip(image.coeffs, [mod.m for mod in moduli])
+        for c, m in zip(image.coeffs, ints)
     ]
     entries = tuple(cols[0]) if len(cols) == 1 else tuple(chain.from_iterable(zip(*cols)))
-    return _trusted(MixedMatrix, spec.r, moduli, entries)
+    mat = object.__new__(MixedMatrix)
+    set_field(mat, "rows", spec.r)
+    set_field(mat, "column_moduli", moduli)
+    set_field(mat, "entries", entries)
+    return mat
 
 
 def _suspended_image(spec: ConnectedSumSpec, table: HomotopyTable | None):
@@ -98,7 +100,7 @@ def suspension_rank(
     spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> int:
     """Echelon rank of the suspended twist matrix (at most r, its row count)."""
-    if all(v == 0 for v in spec.xi):
+    if not any(spec.xi):
         # A zero twist has zero image in any receiving group, so the rank
         # is 0 without consulting the tables.
         return 0

@@ -143,14 +143,6 @@ class IntMatrix(_OnDemand):
         return sign * a[n - 1][n - 1]
 
 
-def _trusted(cls, *fields):
-    """A ``cls`` record from canonical fields, without the constructor's checks."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        set_field(obj, name, value)
-    return obj
-
-
 def matrix_action(a: IntMatrix, elements: Sequence) -> tuple:
     """Left action of an integer matrix on a tuple of group elements.
 
@@ -309,17 +301,6 @@ class _Reducer:
         self.sign = -self.sign
 
 
-def _dense_transform(red: _Reducer) -> IntMatrix:
-    """D over the reducer's sparse rows, with its sign; its dense entries are
-    built on first read.  Its coefficients are exact ints, as the reducer's
-    entries are, so the constructor's type scan is not needed."""
-    rows = red.transform
-    d = _trusted(IntMatrix, len(rows), len(rows))  # entries left unset
-    set_field(d, "_sparse", rows)
-    set_field(d, "_sign", red.sign)
-    return d
-
-
 def _place_pivot(red: _Reducer, col: int, top: int, bottom: int) -> bool:
     """Reduce rows top..bottom-1 in one column to (d, 0, ..., 0) at ``top``.
 
@@ -413,7 +394,7 @@ def _echelon(
     a: IntMatrix | MixedMatrix, moduli: Sequence[Modulus]
 ) -> tuple[IntMatrix, tuple[int, ...]]:
     rows = list(map(list, zip(*[iter(a.entries)] * len(moduli))))
-    red = _Reducer(rows, tuple(mod.m for mod in moduli))
+    red = _Reducer(rows, tuple([mod.m for mod in moduli]))
     nrows, last = len(red.mat), len(moduli) - 1
     top = 0
     pivots = []
@@ -435,7 +416,14 @@ def _echelon(
         for i in range(p):
             q = red.mat[i][col] // d
             red.add(i, p, -q, col)
-    return _dense_transform(red), tuple(chain.from_iterable(red.mat))
+    # D: the reducer's sparse rows and sign, its dense entries built on first
+    # read.  D and B hold the reducer's exact ints, so no constructor scans them.
+    d = object.__new__(IntMatrix)
+    set_field(d, "rows", len(red.transform))
+    set_field(d, "cols", d.rows)  # entries left unset
+    set_field(d, "_sparse", red.transform)
+    set_field(d, "_sign", red.sign)
+    return d, tuple(chain.from_iterable(red.mat))
 
 
 def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertificate:
@@ -485,7 +473,11 @@ def row_echelon_int(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     entries above each pivot reduced into [0, pivot).
     """
     d, entries = _echelon(a, (INTEGERS,) * a.cols)
-    return d, _trusted(IntMatrix, a.rows, a.cols, entries)
+    b = object.__new__(IntMatrix)
+    set_field(b, "rows", a.rows)
+    set_field(b, "cols", a.cols)
+    set_field(b, "entries", entries)
+    return d, b
 
 
 def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
@@ -496,7 +488,11 @@ def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
     the remaining column segment together with the column modulus.
     """
     d, entries = _echelon(a, a.column_moduli)
-    return d, _trusted(MixedMatrix, a.rows, a.column_moduli, entries)
+    b = object.__new__(MixedMatrix)
+    set_field(b, "rows", a.rows)
+    set_field(b, "column_moduli", a.column_moduli)
+    set_field(b, "entries", entries)
+    return d, b
 
 
 def _echelon_leads(b: IntMatrix | MixedMatrix) -> list[int] | None:

@@ -16,6 +16,7 @@ from operator import index
 
 from ._record import Record, decode_json, exact, read_field, read_file, read_ints, set_field
 from .abelian import AbelianGroup, cardinality
+from .residues import Modulus
 
 LIE_FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
@@ -134,7 +135,11 @@ class TableEntry(Record):
     __slots__ = ("space", "degree", "group", "citation")
 
 
-class GeneratorImage(Record):
+class _ColumnModuli(Record):
+    __slots__ = ("_moduli",)  # the twist matrix's column moduli, as records and ints: not a field
+
+
+class GeneratorImage(_ColumnModuli):
     """Image of the standard twist generator inside a presented target group.
 
     ``target`` is the receiving group in invariant-factor form and
@@ -150,6 +155,8 @@ class GeneratorImage(Record):
         set_field(self, "target", target)
         set_field(self, "coeffs", coeffs)
         set_field(self, "citation", citation)
+        moduli = (Modulus(0),) * target.free_rank + tuple(map(Modulus, target.torsion))
+        set_field(self, "_moduli", (moduli, (0,) * target.free_rank + target.torsion))
 
 
 class HomotopyTable:

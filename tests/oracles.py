@@ -279,12 +279,13 @@ def determinantal_invariants(mat: IntMatrix) -> tuple[int, ...]:
 
 
 def random_unimodular(rng, r: int, ops: int = 12) -> IntMatrix:
-    """Random product of elementary matrices; determinant is +-1."""
+    """Random product of elementary, swap and sign matrices; determinant is
+    +-1.  For r = 1 only signs are drawn: GL_1(Z) is {1, -1}."""
     rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     for _ in range(ops):
-        kind = rng.randrange(3)
+        kind = rng.randrange(3) if r > 1 else 2
         i = rng.randrange(r)
-        j = rng.randrange(r - 1)
+        j = rng.randrange(r - 1) if r > 1 else 0
         j = j + 1 if j >= i else j
         if kind == 0:
             c = rng.randint(-3, 3)
@@ -315,11 +316,20 @@ def check_reads_as_eager(d: IntMatrix) -> None:
     entries = d.entries
     assert not unread(d) and d.entries is entries
     assert getattr(d, "_sparse", None) is None  # the sparse rows go once the entries exist
-    eager = IntMatrix(d.rows, d.cols, entries)
-    assert d == eager and eager == d
-    assert hash(d) == hash(eager)
-    assert repr(d) == repr(eager)
-    assert pickle.dumps(d) == pickle.dumps(eager)
+    check_same_record(d, IntMatrix(d.rows, d.cols, entries))
     for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
-        assert twin == eager and repr(twin) == repr(eager) and not unread(twin)
+        assert not unread(twin)
     assert d.det() == bareiss_det(d.to_lists()) in (1, -1)
+
+
+def check_same_record(built, twin) -> None:
+    """Assert that a record built without its constructor reads exactly as
+    ``twin``, built by it: equality both ways, hash, repr, pickle bytes, and
+    the pickle, copy and deepcopy round trips."""
+    assert type(built) is type(twin)
+    assert built == twin and twin == built
+    assert hash(built) == hash(twin)
+    assert repr(built) == repr(twin)
+    assert pickle.dumps(built) == pickle.dumps(twin)
+    for copied in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert copied == twin and repr(copied) == repr(twin)

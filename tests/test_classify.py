@@ -14,6 +14,10 @@ from gaugedecomp import (
     UNSUPPORTED,
     AbelianGroup,
     ConnectedSumSpec,
+    E6,
+    E7,
+    E8,
+    F4,
     Sp,
     Sphere,
     Spin,
@@ -102,6 +106,25 @@ class TestDispatch:
                 case = classify_conditions(group, ConnectedSumSpec(4, 3, tuple(xi)))
                 assert case == base
                 assert (case.kind == DIM7_PI6_COPRIME) == (math.gcd(order, *xi) == 1)
+
+    def test_no_bijective_clause_admits_n_at_most_q(self):
+        # ProductExpr.build merges no decomposition's factors on this fact:
+        # with n > q, Omega^n G and Omega^q G are never the same factor.
+        # xi = (1,) passes the seven-dimensional gate wherever it can.
+        groups = (
+            [SU(m) for m in range(2, 13)] + [Sp(m) for m in range(1, 7)]
+            + [Spin(m) for m in range(3, 13)] + [G2, F4, E6, E7, E8]
+        )
+        bijective = [
+            (group, n, q, case.kind)
+            for group in groups
+            for n in range(2, 30)
+            for q in range(2, 30)
+            if (case := classify_conditions(group, ConnectedSumSpec(n, q, (1,)))).is_bijective
+        ]
+        assert {kind for *_, kind in bijective} == {SU_STABLE, SP_STABLE, DIM7_PI6_COPRIME}
+        assert [(g, n, q) for g, n, q, _ in bijective if n <= q] == []
+        assert len(bijective) == 134
 
 
 class TestPrincipalBundles:
