@@ -44,7 +44,6 @@ from .manifolds import (
     cofibre_space,
     suspension_rank,
     suspension_splitting,
-    twisting_matrix,
 )
 from .matrices import (
     IntMatrix,

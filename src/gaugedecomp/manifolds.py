@@ -2,11 +2,12 @@
 
 A manifold here is a connected sum of total spaces of S^q-bundles over
 S^n admitting cross sections, each summand given by one integer twist.
-The module computes the matrix of suspended twist images, the echelon
-rank that controls the suspension splitting, and a descriptor for the
-cofibre space, which carries the echelon-normalized top-cell attaching
-images (flagged unresolved when the tables lack them) and survives as an
-opaque mapping-space factor downstream.
+Summand i attaches through xi_i c, c the table's image of the twist
+generator, and E_Mat(Y^r) = GL_r(Z) carries (xi_1 c, ..., xi_r c) to
+(gcd(xi) c, 0, ..., 0).  So the suspension rank is t-bar = [gcd(xi) c != 0],
+read off one twist column: xi reduced mod the order of c.  The cofibre
+descriptor carries the one attaching element (flagged unresolved when the
+tables lack it) and survives as an opaque mapping-space factor downstream.
 
 Built-in table data covers (n, q) = (4, 3), where the twist image in
 pi_6(S^3) = Z/12 is the twist reduced mod 12.  Other (n, q) work exactly
@@ -16,7 +17,6 @@ and the descriptors computed from them are immutable.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import index
 
 from ._record import Record, exact, read_field, read_ints, set_field
@@ -52,25 +52,14 @@ class ConnectedSumSpec(Record):
         return cls(n, q, read_ints(data, "xi", "spec"))
 
 
-def _image_matrix(spec: ConnectedSumSpec, image) -> MixedMatrix:
-    """The twist matrix, its entries xi_i * c_j reduced per column in one pass.
-
-    Twists, moduli and coefficients are exact ints (their constructors apply
-    ``operator.index``), so the record is built without the constructor's scan.
-    """
-    moduli, ints = image._moduli
-    if not moduli:  # the constructor's error for a zero-column matrix
-        return MixedMatrix(spec.r, moduli, ())
-    xi = spec.xi
-    cols = [
-        [v * c % m for v in xi] if m else [v * c for v in xi]
-        for c, m in zip(image.coeffs, ints)
-    ]
-    entries = tuple(cols[0]) if len(cols) == 1 else tuple(chain.from_iterable(zip(*cols)))
+def _twist_column(spec: ConnectedSumSpec, image) -> MixedMatrix:
+    """The twist matrix xi_i c as one column: xi mod the order o of c, over
+    Z/o.  Twists and o are exact ints, so no constructor scans them."""
+    modulus, o = image._order
     mat = object.__new__(MixedMatrix)
     set_field(mat, "rows", spec.r)
-    set_field(mat, "column_moduli", moduli)
-    set_field(mat, "entries", entries)
+    set_field(mat, "column_moduli", (modulus,))
+    set_field(mat, "entries", tuple([v % o for v in spec.xi]) if o else spec.xi)
     return mat
 
 
@@ -84,42 +73,27 @@ def _suspended_image(spec: ConnectedSumSpec, table: HomotopyTable | None):
     return image
 
 
-def twisting_matrix(
-    spec: ConnectedSumSpec, table: HomotopyTable | None = None
-) -> MixedMatrix:
-    """Matrix whose rows are the suspended twist images in pi_{n+q}(S^{q+1}).
-
-    One row per summand, one column per generator of the receiving group.
-    Raises MissingTableError naming the needed key when no image data is
-    declared for this (n, q).
-    """
-    return _image_matrix(spec, _suspended_image(spec, table))
-
-
 def suspension_rank(
     spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> int:
-    """Echelon rank of the suspended twist matrix (at most r, its row count)."""
+    """t-bar = [gcd(xi) c != 0] for the suspended image c: the echelon rank
+    of the twist column.  A missing image raises MissingTableError naming it."""
     if not any(spec.xi):
         # A zero twist has zero image in any receiving group, so the rank
         # is 0 without consulting the tables.
         return 0
-    image = _suspended_image(spec, table)
-    if not image.coeffs:  # a trivial receiving group: every image is 0
-        return 0
-    _, reduced = row_echelon_mixed(_image_matrix(spec, image))
+    _, reduced = row_echelon_mixed(_twist_column(spec, _suspended_image(spec, table)))
     return echelon_rank(reduced)
 
 
 class CofibreDescriptor(Record):
     """The cofibre of a map from S^{n+q-1} into a wedge of q-spheres.
 
-    ``sphere_count`` is how many wedge summands the map hits, ``attaching``
-    the echelon-normalized images of the map's components (one group
-    element per hit sphere), and ``cell_dim`` the dimension of the attached
-    cell.  With sphere_count == 0 the wedge is empty and the space is just
-    S^{cell_dim}.  The descriptor is consumed opaquely downstream, as a
-    pointed mapping-space factor.
+    ``sphere_count`` is how many wedge summands the map hits, t-bar, so at
+    most 1; ``attaching`` holds that sphere's attaching element, and
+    ``cell_dim`` the dimension of the attached cell.  With sphere_count == 0
+    the wedge is empty and the space is just S^{cell_dim}.  The descriptor
+    is consumed opaquely downstream, as a pointed mapping-space factor.
     """
 
     __slots__ = ("sphere_count", "wedge_dim", "cell_dim", "attaching", "resolved")
@@ -143,9 +117,9 @@ def cofibre_space(
 ) -> CofibreDescriptor:
     """Descriptor of the cofibre absorbing the twisted part of the sum.
 
-    The attaching components are read off the echelon form of the
-    unsuspended twist-image matrix; for (4, 3) with gcd(12, xi) = 1 this
-    is a single unit of Z/12.
+    The attaching element is d' c' for the unsuspended image c', where d'
+    is the echelon head of the twist column over c''s order; for (4, 3)
+    with gcd(12, xi) = 1 this is a single unit of Z/12.
     """
     table = _require_table(table)
     tbar = suspension_rank(spec, table)
@@ -156,10 +130,8 @@ def cofibre_space(
     image = table.attaching_image(spec.n, spec.q)
     if image is None:
         return CofibreDescriptor(tbar, spec.q, cell_dim, (), False)
-    _, reduced = row_echelon_mixed(_image_matrix(spec, image))
-    attaching = tuple(
-        GroupElement(image.target, reduced.row(i)) for i in range(tbar)
-    )
+    _, reduced = row_echelon_mixed(_twist_column(spec, image))
+    attaching = (reduced.entries[0] * GroupElement(image.target, image.coeffs),)
     return CofibreDescriptor(tbar, spec.q, cell_dim, attaching, True)
 
 

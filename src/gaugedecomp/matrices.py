@@ -22,8 +22,8 @@ and none by a caller that only wants the rank.
 
 Entries are made exact ints by ``operator.index`` and reduced per column,
 once on the way in: by the ``IntMatrix`` and ``MixedMatrix`` constructors,
-and by ``manifolds._image_matrix``, which builds the twist matrix from
-products of exact ints.  Row operations keep them that way, so D and B are
+and by ``manifolds._twist_column``, which builds the twist column from
+exact ints.  Row operations keep them that way, so D and B are
 built from the reducer's rows without a second pass through a constructor.
 
 D's determinant is tracked, not computed: a row swap or negation flips

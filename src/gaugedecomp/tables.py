@@ -9,6 +9,7 @@ changes.  Spaces, entries, images and tables are immutable.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Sequence
 from functools import lru_cache
@@ -135,15 +136,16 @@ class TableEntry(Record):
     __slots__ = ("space", "degree", "group", "citation")
 
 
-class _ColumnModuli(Record):
-    __slots__ = ("_moduli",)  # the twist matrix's column moduli, as records and ints: not a field
+class _Order(Record):
+    __slots__ = ("_order",)  # the image's order o, as (Modulus(o), o): not a field
 
 
-class GeneratorImage(_ColumnModuli):
+class GeneratorImage(_Order):
     """Image of the standard twist generator inside a presented target group.
 
     ``target`` is the receiving group in invariant-factor form and
-    ``coeffs`` are the image's coefficients over its generators.
+    ``coeffs`` are the image's coefficients over its generators.  Its order
+    is 0 if a free coefficient is nonzero, else lcm_j s_j / gcd(s_j, c_j).
     """
 
     __slots__ = ("target", "coeffs", "citation")
@@ -155,8 +157,11 @@ class GeneratorImage(_ColumnModuli):
         set_field(self, "target", target)
         set_field(self, "coeffs", coeffs)
         set_field(self, "citation", citation)
-        moduli = (Modulus(0),) * target.free_rank + tuple(map(Modulus, target.torsion))
-        set_field(self, "_moduli", (moduli, (0,) * target.free_rank + target.torsion))
+        free = target.free_rank
+        o = 0 if any(coeffs[:free]) else math.lcm(
+            *[s // math.gcd(s, c) for s, c in zip(target.torsion, coeffs[free:])]
+        )
+        set_field(self, "_order", (Modulus(o), o))
 
 
 class HomotopyTable:

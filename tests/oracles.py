@@ -118,6 +118,33 @@ def elementary_orbit(m: int, start: tuple[int, ...]) -> set[tuple[int, ...]]:
     return orbit
 
 
+def coordinate_order(s: int, c: int) -> int:
+    """Order of c in Z/s (Z when s == 0): the least k >= 1 with k c == 0,
+    found by counting, or 0 when there is none."""
+    if s == 0:
+        return 1 if c == 0 else 0
+    k = 1
+    while (k * c) % s:
+        k += 1
+    return k
+
+
+def twist_rank(xi: list[int], free: int, torsion: list[int], coeffs: list[int]) -> int:
+    """[g c != 0] in Z^free (+) Z/torsion, for the image c and g = gcd(xi).
+
+    xi goes to (g, 0, ..., 0) by Euclid on a list: signs dropped, then every
+    other entry reduced mod a least nonzero one, until one is left.  Then g c
+    is nonzero exactly when some coordinate's order does not divide g.
+    """
+    v = [abs(x) for x in xi]
+    while sum(1 for x in v if x) > 1:
+        i = min((k for k in range(len(v)) if v[k]), key=v.__getitem__)
+        v = [x if k == i else x % v[i] for k, x in enumerate(v)]
+    g = max(v)
+    orders = [coordinate_order(s, c) for s, c in zip([0] * free + list(torsion), coeffs)]
+    return int(any(g % o if o else g for o in orders))
+
+
 def smith_by_factorization(orders: list[int]) -> tuple[int, ...]:
     """Invariant factors of a direct sum of finite cyclic groups.
 

@@ -166,6 +166,42 @@ class TestEchelon:
         assert (code, out, err) == (1, "", f"domain error: {message}\n")
 
 
+class TestRowLimit:
+    """echelon and orbit-reduce refuse more than MAX_ROWS rows before any
+    work; only the kernel is replaced, so every check before it runs."""
+
+    def argv(self, command, rows):
+        if command == "orbit-reduce":
+            return ["orbit-reduce", "--m", "12", "--x", ",".join(["5"] * rows)]
+        return ["echelon", "[" + ",".join(["[5]"] * rows) + "]"]
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise ValueError("kernel reached")
+
+        monkeypatch.setattr(cli, "orbit_reduce", refuse)
+        monkeypatch.setattr(cli, "row_echelon_mixed", refuse)
+        return calls
+
+    @pytest.mark.parametrize("command, what", [("orbit-reduce", "--x"), ("echelon", "matrix")])
+    def test_one_row_past_the_limit_exits_2_before_any_work(self, capsys, kernels, command, what):
+        r = cli.MAX_ROWS + 1
+        code, out, err = run(capsys, *self.argv(command, r))
+        message = f"{what} gives a {r} x {r} transform; at most {cli.MAX_ROWS} rows"
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+        assert kernels == []
+
+    @pytest.mark.parametrize("command", ["orbit-reduce", "echelon"])
+    def test_the_limit_itself_reaches_the_kernel(self, capsys, kernels, command):
+        code, _, err = run(capsys, *self.argv(command, cli.MAX_ROWS))
+        assert (code, err) == (1, "domain error: kernel reached\n")
+        assert len(kernels) == 1
+
+
 class TestPi:
 
     def test_j0(self, capsys):

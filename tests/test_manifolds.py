@@ -7,6 +7,7 @@ import pytest
 from gaugedecomp import (
     ConnectedSumSpec,
     MissingTableError,
+    MixedMatrix,
     Modulus,
     cofibre_space,
     echelon_rank,
@@ -14,9 +15,9 @@ from gaugedecomp import (
     row_echelon_mixed,
     suspension_rank,
     suspension_splitting,
-    twisting_matrix,
 )
-from gaugedecomp.tables import table_from_data
+from gaugedecomp.manifolds import _twist_column
+from gaugedecomp.tables import default_table, table_from_data
 from oracles import elementary_orbit
 
 
@@ -61,26 +62,30 @@ class TestSpec:
             ConnectedSumSpec(n, q, xi)
 
 
+def core_column(xi):
+    return _twist_column(ConnectedSumSpec(4, 3, xi), default_table().suspended_image(4, 3))
+
+
 class TestTwistingMatrix:
+    # On the core table the image is 1 in Z/12, so the twist column is the
+    # whole twist matrix.
 
     def test_unit_twist(self):
-        nf = twisting_matrix(ConnectedSumSpec(4, 3, (1, 0)))
+        nf = core_column((1, 0))
         assert nf.to_lists() == [[1], [0]]
         assert nf.column_moduli == (Modulus(12),)
 
     def test_zero_twists(self):
-        nf = twisting_matrix(ConnectedSumSpec(4, 3, (0, 0, 0)))
+        nf = core_column((0, 0, 0))
         assert nf.to_lists() == [[0], [0], [0]]
 
     def test_mod_twelve_reduction(self):
-        nf = twisting_matrix(ConnectedSumSpec(4, 3, (2, 3)))
-        assert nf.to_lists() == [[2], [3]]
-        nf = twisting_matrix(ConnectedSumSpec(4, 3, (14, -1)))
-        assert nf.to_lists() == [[2], [11]]
+        assert core_column((2, 3)).to_lists() == [[2], [3]]
+        assert core_column((14, -1)).to_lists() == [[2], [11]]
 
     def test_missing_data_names_key(self):
         with pytest.raises(MissingTableError) as err:
-            twisting_matrix(ConnectedSumSpec(6, 5, (1, 2)))
+            suspension_rank(ConnectedSumSpec(6, 5, (1, 2)))
         assert "pi_11(S^6)" in str(err.value)
 
 
@@ -168,15 +173,26 @@ class TestSplitting:
         assert str(s) == "S^5 v S^5 v S^5 v S^4 v S^4 v Sigma Y_F"
 
 
+def twist_matrix(spec, image):
+    """The r x k twist matrix, row i the image xi_i * c over the target's
+    column moduli, built here so that the check reads no package column."""
+    target = image.target
+    moduli = [Modulus(0)] * target.free_rank + [Modulus(s) for s in target.torsion]
+    return MixedMatrix.from_rows(moduli, [[v * c for c in image.coeffs] for v in spec.xi])
+
+
 def test_rank_bounded_by_summands_and_generators():
+    # On the one-column core target the echelon rank of the whole twist
+    # matrix is the suspension rank.
+    image = default_table().suspended_image(4, 3)
     rng = random.Random(22)
     for _ in range(100):
         r = rng.randint(1, 6)
         xi = tuple(rng.randint(-40, 40) for _ in range(r))
         spec = ConnectedSumSpec(4, 3, xi)
         rank = suspension_rank(spec)
-        assert 0 <= rank <= r
-        nf = twisting_matrix(spec)
+        assert 0 <= rank <= min(r, 1)
+        nf = twist_matrix(spec, image)
         assert rank <= nf.cols
         _, reduced = row_echelon_mixed(nf)
         assert rank == min(r, echelon_rank(reduced))

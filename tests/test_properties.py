@@ -11,7 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugedecomp import (
@@ -33,22 +33,25 @@ from gaugedecomp import (
     orbit_reduce,
     pointed_gauge_decomposition,
     pointed_gauge_pi,
+    principal_bundles,
     row_echelon_int,
     row_echelon_mixed,
     smith_invariants,
     suspension_rank,
     suspension_splitting,
 )
-from gaugedecomp.manifolds import _image_matrix
+from gaugedecomp.manifolds import _twist_column
 from gaugedecomp.tables import GeneratorImage, table_from_data
 from oracles import (
     bareiss_det,
     check_reads_as_eager,
     check_same_record,
+    coordinate_order,
     diagonal,
     random_unimodular,
     row_by_row_echelon,
     smith_by_factorization,
+    twist_rank,
     unread,
 )
 
@@ -265,24 +268,60 @@ def twist_images(draw):
 
 @settings(PROFILE, max_examples=100)
 @given(twist_images())
-def test_twist_matrix_matches_the_constructor(case):
+def test_twist_column_matches_the_constructor(case):
     spec, image = case
-    moduli = [Modulus(0)] * image.target.free_rank + [Modulus(s) for s in image.target.torsion]
-    products = tuple(v * c for v in spec.xi for c in image.coeffs)
-    if not moduli:
-        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
-            _image_matrix(spec, image)
-        return
-    built = _image_matrix(spec, image)
-    check_same_record(built, MixedMatrix(spec.r, tuple(moduli), products))
+    target = image.target
+    moduli = [0] * target.free_rank + list(target.torsion)
+    orders = [coordinate_order(s, c) for s, c in zip(moduli, image.coeffs)]
+    o = 0 if 0 in orders else math.lcm(*orders)
+    built = _twist_column(spec, image)
+    twin = MixedMatrix(spec.r, (Modulus(o),), spec.xi)
+    check_same_record(built, twin)
     assert type(built.entries) is tuple and set(map(type, built.entries)) == {int}
+
+
+small_ints = st.integers(-40, 40)
+
+
+def image_of(target, coeffs):
+    return {"target": target, "coeffs": coeffs, "citation": "drawn"}
+
+
+@st.composite
+def user_images(draw):
+    """A table image: target Z^0..1 (+) 1..3 torsion generators, random coefficients."""
+    free = draw(st.integers(0, 1))
+    torsion = [draw(st.integers(2, 12))]
+    for step in draw(st.lists(st.integers(1, 8), max_size=2)):
+        torsion.append(torsion[-1] * step)  # s_1 | s_2 | ...
+    coeffs = draw(st.lists(st.integers(-50, 50), min_size=free + len(torsion), max_size=free + len(torsion)))
+    return image_of({"free": free, "torsion": torsion}, coeffs)
+
+
+def image_table(suspended, unsuspended=None, n=4, q=3):
+    """The core table with the (n, q) suspended and unsuspended images replaced."""
+    sections = {"suspended_attaching_images": [{"n": n, "q": q, **suspended}]}
+    if unsuspended is not None:
+        sections["attaching_images"] = [{"n": n, "q": q, **unsuspended}]
+    return table_from_data(sections).merged_over(default_table())
+
+
+@PROFILE
+@given(user_images(), st.lists(small_ints, min_size=1, max_size=6))
+@example(image_of({"torsion": [2, 4]}, [1, 1]), [1, 2])
+@example(image_of({"torsion": [3, 24]}, [1, 1]), [1, 0])
+@example(image_of({"free": 1, "torsion": [12]}, [0, 6]), [4, 6])
+def test_suspension_rank_matches_the_rank_oracle(image, xi):
+    table = image_table(image, n=6, q=5)
+    target = image["target"]
+    expected = twist_rank(xi, target.get("free", 0), target["torsion"], image["coeffs"])
+    assert suspension_rank(ConnectedSumSpec(6, 5, tuple(xi)), table) == expected
 
 
 # The core table alone, and the core with a connecting order for G2 over
 # S^4, so that both the known-order and the unknown-order levels are met.
 TABLES = (default_table(), load_tables([Path(__file__).parent / "data" / "cli_orders.json"]))
 GROUPS = (SU(2), SU(3), SU(4), Sp(2), G2, E8, SU(5), SU(6))
-small_ints = st.integers(-40, 40)
 
 
 @st.composite
@@ -317,7 +356,8 @@ def test_equivalent_exactly_when_decompositions_agree(case):
 
 # Every query is invariant under E_Mat(Y^r) = GL_r(Z), acting on the twists
 # by A and on the classifying integers by B: the decompositions are obtained
-# from that action.  Checked on the core table.
+# from that action.  Checked on the core table, and on the core table with
+# its (4, 3) suspended and unsuspended images replaced by drawn ones.
 INVARIANCE_GROUPS = (SU(2), SU(3), G2, Sp(2), E8)
 
 
@@ -332,23 +372,28 @@ def outcome(query, *args):
 @st.composite
 def gl_moves(draw):
     """A spec over (4, 3), the one pair every group here decomposes over, K,
-    A and B in GL_r(Z) with r = 1..5, and a degree j >= 1."""
+    A and B in GL_r(Z) with r = 1..5, a degree j >= 1, and the table."""
     r = draw(st.integers(1, 5))
     xi, ks = (tuple(draw(st.lists(small_ints, min_size=r, max_size=r))) for _ in range(2))
     rng = random.Random(draw(st.integers(0, 2**32)))
     a, b = random_unimodular(rng, r), random_unimodular(rng, r)
     moved = ConnectedSumSpec(4, 3, a.apply(xi))
-    return ConnectedSumSpec(4, 3, xi), ks, moved, b.apply(ks), draw(st.integers(1, 4))
+    images = draw(st.none() | st.tuples(user_images(), user_images()))
+    table = default_table() if images is None else image_table(*images)
+    return ConnectedSumSpec(4, 3, xi), ks, moved, b.apply(ks), draw(st.integers(1, 4)), table
 
 
-@settings(PROFILE, max_examples=200)
+@settings(PROFILE, max_examples=300)
 @given(gl_moves())
+@example((ConnectedSumSpec(4, 3, (1, 2)), (1, 1), ConnectedSumSpec(4, 3, (1, 0)), (1, 1), 1,
+          image_table(image_of({"torsion": [2, 4]}, [1, 1]), image_of({"torsion": [3, 24]}, [1, 1]))))
 def test_queries_are_invariant_under_gl_r(case):
-    spec, ks, moved, moved_ks, j = case
-    table = default_table()
+    spec, ks, moved, moved_ks, j, table = case
     assert outcome(suspension_splitting, spec, table) == outcome(suspension_splitting, moved, table)
     for group in INVARIANCE_GROUPS:
         assert classify_conditions(group, spec, table) == classify_conditions(group, moved, table)
+        bundles = outcome(principal_bundles, group, spec, table)
+        assert bundles == outcome(principal_bundles, group, moved, table), group
         decomposed = outcome(gauge_decomposition, group, spec, ks, table)
         assert decomposed == outcome(gauge_decomposition, group, moved, moved_ks, table), group
         for query, arg in ((pointed_gauge_decomposition, None), (pointed_gauge_pi, j)):
@@ -378,12 +423,6 @@ TWO_GENERATOR_TABLE = table_from_data({
 })
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="suspension_rank counts echelon rows over mixed moduli, no GL_r(Z) "
-    "invariant: (1, 2) keeps the row (0, 2), which is 2 (1, 1) in Z/2 (+) Z/4, "
-    "and has rank 2 where (1, 0) has rank 1 (ROADMAP item 2)",
-)
 def test_splitting_is_invariant_under_gl_r_on_a_two_generator_target():
     # [[1, 0], [-2, 1]] carries (1, 2) to (1, 0).
     spec, moved = ConnectedSumSpec(6, 5, (1, 2)), ConnectedSumSpec(6, 5, (1, 0))
