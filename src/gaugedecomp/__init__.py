@@ -49,7 +49,6 @@ from .matrices import (
     IntMatrix,
     MixedMatrix,
     OrbitCertificate,
-    echelon_rank,
     is_echelon,
     matrix_action,
     orbit_reduce,

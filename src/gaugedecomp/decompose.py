@@ -315,6 +315,10 @@ def _remark_shape(xi: tuple[int, ...], table: HomotopyTable) -> bool:
 
     The order is that of the table's (4, 3) attaching-image target (12 in
     the core table); without a finite target the shape is never claimed.
+    It reads xi in the given basis, so it is not GL_r(Z)-invariant: true at
+    (-23) and (1, 0), false at (23) and (1, 1).  The strict xfail
+    test_pointed_pi_in_degree_zero_is_invariant_under_gl_r pins this until
+    ROADMAP item 9 restates the rule.
     """
     image = table.attaching_image(4, 3)
     m = cardinality(image.target) if image else 0
@@ -337,7 +341,9 @@ def pointed_gauge_pi(
     degree 0 when exactly one twist is 1 mod |pi_6(S^3)| (12 in the core
     table) and the rest vanish modulo it; when the cofibre degenerates to
     a sphere it resolves through the tables; otherwise it stays symbolic.
-    Unknown table entries stay symbolic rather than defaulting.
+    Unknown table entries stay symbolic rather than defaulting.  The degree
+    0 rule reads xi in the given basis, so it is not GL_r(Z)-invariant (see
+    _remark_shape).
     """
     if j < 0:
         raise ValueError("homotopy degree must be non-negative")

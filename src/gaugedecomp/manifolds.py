@@ -5,7 +5,7 @@ S^n admitting cross sections, each summand given by one integer twist.
 Summand i attaches through xi_i c, c the table's image of the twist
 generator, and E_Mat(Y^r) = GL_r(Z) carries (xi_1 c, ..., xi_r c) to
 (gcd(xi) c, 0, ..., 0).  So the suspension rank is t-bar = [gcd(xi) c != 0],
-read off one twist column: xi reduced mod the order of c.  The cofibre
+the head of one reduced twist column: xi mod the order of c.  The cofibre
 descriptor carries the one attaching element (flagged unresolved when the
 tables lack it) and survives as an opaque mapping-space factor downstream.
 
@@ -21,7 +21,7 @@ from operator import index
 
 from ._record import Record, exact, read_field, read_ints, set_field
 from .abelian import GroupElement
-from .matrices import MixedMatrix, echelon_rank, row_echelon_mixed
+from .matrices import MixedMatrix, row_echelon_mixed
 from .tables import HomotopyTable, MissingTableError, _require_table
 
 
@@ -76,14 +76,15 @@ def _suspended_image(spec: ConnectedSumSpec, table: HomotopyTable | None):
 def suspension_rank(
     spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> int:
-    """t-bar = [gcd(xi) c != 0] for the suspended image c: the echelon rank
-    of the twist column.  A missing image raises MissingTableError naming it."""
+    """t-bar = [gcd(xi) c != 0] for the suspended image c: the head of the
+    reduced twist column, which the echelon leaves as (d, 0, ..., 0), d = 0
+    only if the column is.  A missing image raises MissingTableError."""
     if not any(spec.xi):
         # A zero twist has zero image in any receiving group, so the rank
         # is 0 without consulting the tables.
         return 0
     _, reduced = row_echelon_mixed(_twist_column(spec, _suspended_image(spec, table)))
-    return echelon_rank(reduced)
+    return 1 if reduced.entries[0] else 0
 
 
 class CofibreDescriptor(Record):
@@ -119,7 +120,8 @@ def cofibre_space(
 
     The attaching element is d' c' for the unsuspended image c', where d'
     is the echelon head of the twist column over c''s order; for (4, 3)
-    with gcd(12, xi) = 1 this is a single unit of Z/12.
+    with gcd(12, xi) = 1 this is a single unit of Z/12.  As c = Sigma c',
+    a table whose ord(c) does not divide ord(c') raises ValueError.
     """
     table = _require_table(table)
     tbar = suspension_rank(spec, table)
@@ -130,6 +132,11 @@ def cofibre_space(
     image = table.attaching_image(spec.n, spec.q)
     if image is None:
         return CofibreDescriptor(tbar, spec.q, cell_dim, (), False)
+    o, o_c = image._order[1], table.suspended_image(spec.n, spec.q)._order[1]
+    if o % o_c if o_c else o:  # order 0 is infinite, and every order divides it
+        raise ValueError(f"(n, q)=({spec.n}, {spec.q}): the suspended image has order "
+                         f"{o_c or 'infinite'}, which does not divide the order "
+                         f"{o or 'infinite'} of the unsuspended image")
     _, reduced = row_echelon_mixed(_twist_column(spec, image))
     attaching = (reduced.entries[0] * GroupElement(image.target, image.coeffs),)
     return CofibreDescriptor(tbar, spec.q, cell_dim, attaching, True)

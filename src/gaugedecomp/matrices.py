@@ -495,22 +495,6 @@ def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
     return d, b
 
 
-def _echelon_leads(b: IntMatrix | MixedMatrix) -> list[int] | None:
-    """Leading columns of the nonzero rows, or None if b is not in echelon form."""
-    cols, entries = b.cols, b.entries
-    leads: list[int] = []
-    seen_zero = False
-    for start in range(0, len(entries), cols):
-        lead = next(compress(range(cols), entries[start : start + cols]), None)
-        if lead is None:
-            seen_zero = True
-        elif seen_zero or (leads and lead <= leads[-1]):
-            return None
-        else:
-            leads.append(lead)
-    return leads
-
-
 def is_echelon(b: IntMatrix | MixedMatrix) -> bool:
     """Decide the two-clause echelon predicate.
 
@@ -518,15 +502,11 @@ def is_echelon(b: IntMatrix | MixedMatrix) -> bool:
     leading entries of the rows above them, and zero rows are at the
     bottom.
     """
-    return _echelon_leads(b) is not None
-
-
-def echelon_rank(b: IntMatrix | MixedMatrix) -> int:
-    """Number of nonzero rows of a matrix already in echelon form."""
-    leads = _echelon_leads(b)
-    if leads is None:
-        raise ValueError("matrix is not in echelon form")
-    return len(leads)
+    cols, entries = b.cols, b.entries
+    # A zero row leads at ``cols``, so only zero rows may follow it.
+    starts = range(0, len(entries), cols)
+    leads = [next(compress(range(cols), entries[i : i + cols]), cols) for i in starts]
+    return all(y > x or y == cols for x, y in zip(leads, leads[1:]))
 
 
 def _smallest_entry(mat: list[list[int]], k: int) -> tuple[int, int] | None:

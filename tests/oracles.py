@@ -145,6 +145,18 @@ def twist_rank(xi: list[int], free: int, torsion: list[int], coeffs: list[int]) 
     return int(any(g % o if o else g for o in orders))
 
 
+def echelon_rank(b) -> int:
+    """Number of nonzero rows of b, which must be in echelon form: each
+    nonzero row leads strictly right of the row above, zero rows at the
+    bottom.  Raises ValueError otherwise."""
+    rows = b.to_lists()
+    cols = len(rows[0])
+    leads = [next((j for j, v in enumerate(row) if v), cols) for row in rows]
+    if not all(y > x or x == y == cols for x, y in zip(leads, leads[1:])):
+        raise ValueError("matrix is not in echelon form")
+    return sum(lead < cols for lead in leads)
+
+
 def smith_by_factorization(orders: list[int]) -> tuple[int, ...]:
     """Invariant factors of a direct sum of finite cyclic groups.
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,15 +11,17 @@ from gaugedecomp import (
     MixedMatrix,
     Modulus,
     cofibre_space,
-    echelon_rank,
     gcd_mod,
+    load_tables,
     row_echelon_mixed,
     suspension_rank,
     suspension_splitting,
 )
 from gaugedecomp.manifolds import _twist_column
 from gaugedecomp.tables import default_table, table_from_data
-from oracles import elementary_orbit
+from oracles import echelon_rank, elementary_orbit
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestSpec:
@@ -156,6 +159,44 @@ class TestCofibre:
         ]})
         desc = cofibre_space(ConnectedSumSpec(6, 5, (1, 2)), table)
         assert (desc.sphere_count, desc.attaching, desc.resolved) == (1, (), False)
+
+    def test_suspended_order_must_divide_unsuspended_order(self):
+        # c = 1 in Z/4 cannot be the suspension of c' = 1 in Z/2: once the
+        # twists hit c, the cofibre refuses the table, naming (n, q) and
+        # both orders, instead of attaching the sphere by 0 in Z/2.
+        table = load_tables([DATA / "table_bad_suspension.json"])
+        spec = ConnectedSumSpec(6, 5, (2, 4))
+        assert suspension_rank(spec, table) == 1
+        message = r"^\(n, q\)=\(6, 5\): the suspended image has order 4, which does not divide the order 2 "
+        with pytest.raises(ValueError, match=message):
+            cofibre_space(spec, table)
+        with pytest.raises(ValueError, match=message):
+            suspension_splitting(spec, table)
+        # Where the twists miss c there is no cell to attach and nothing to check.
+        assert cofibre_space(ConnectedSumSpec(6, 5, (4, 8)), table).is_sphere
+
+    @pytest.mark.parametrize("unsuspended, suspended, ok", [
+        ({"torsion": [2]}, {"free": 1}, False),  # infinite does not divide 2
+        ({"free": 1}, {"torsion": [4]}, True),  # every order divides infinite
+        ({"free": 1}, {"free": 1}, True),
+        ({"torsion": [12]}, {"torsion": [4]}, True),
+        ({"torsion": [2]}, {"torsion": []}, True),  # c = 0 is never hit
+    ])
+    def test_order_check_reads_zero_as_infinite(self, unsuspended, suspended, ok):
+        def image(target):
+            coeffs = [1] * (target.get("free", 0) + len(target.get("torsion", [])))
+            return {"n": 6, "q": 5, "target": target, "coeffs": coeffs, "citation": "test"}
+
+        table = table_from_data({
+            "attaching_images": [image(unsuspended)],
+            "suspended_attaching_images": [image(suspended)],
+        })
+        spec = ConnectedSumSpec(6, 5, (1, 2))
+        if ok:
+            assert cofibre_space(spec, table).resolved
+        else:
+            with pytest.raises(ValueError, match="order infinite, which does not divide the order 2 "):
+                cofibre_space(spec, table)
 
 
 class TestSplitting:

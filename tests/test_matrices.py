@@ -15,7 +15,6 @@ from gaugedecomp import (
     Z,
     cyclic,
     direct_sum,
-    echelon_rank,
     gcd_mod,
     is_echelon,
     matrix_action,
@@ -29,6 +28,7 @@ from oracles import (
     check_reads_as_eager,
     determinantal_invariants,
     diagonal,
+    echelon_rank,
     elementary_orbit,
     random_unimodular,
     smith_by_factorization,
@@ -235,6 +235,7 @@ class TestPivotTies:
 
 
 class TestEchelonRank:
+    """The rank oracle in ``oracles`` that the echelon checks read."""
 
     def test_examples(self):
         assert echelon_rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
@@ -244,13 +245,17 @@ class TestEchelonRank:
         )
         assert echelon_rank(mixed) == 1
 
+
+class TestIsEchelon:
+
     def test_rejects_non_echelon(self):
         bad = IntMatrix.from_rows([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            echelon_rank(bad)
         zero_row_first = IntMatrix.from_rows([[0, 0], [1, 0]])
-        with pytest.raises(ValueError):
-            echelon_rank(zero_row_first)
+        same_lead = MixedMatrix.from_rows([Modulus(0), Modulus(12)], [[2, 6], [4, 0]])
+        for b in (bad, zero_row_first, same_lead):
+            assert not is_echelon(b)
+            with pytest.raises(ValueError):
+                echelon_rank(b)
 
 
 class TestMatrixAction:

@@ -306,11 +306,27 @@ def image_table(suspended, unsuspended=None, n=4, q=3):
     return table_from_data(sections).merged_over(default_table())
 
 
+def wide_twists(r, seed):
+    """r signed 64-bit twists, the same on every run."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(64) - (1 << 63) for _ in range(r)]
+
+
 @PROFILE
 @given(user_images(), st.lists(small_ints, min_size=1, max_size=6))
 @example(image_of({"torsion": [2, 4]}, [1, 1]), [1, 2])
 @example(image_of({"torsion": [3, 24]}, [1, 1]), [1, 0])
 @example(image_of({"free": 1, "torsion": [12]}, [0, 6]), [4, 6])
+# Wide sums, where t-bar is read off the head of a long reduced column:
+# 64-bit twists, an all-zero xi, an image of order 1 and one of infinite order.
+@example(image_of({"torsion": [3, 24]}, [1, 1]), wide_twists(400, 1))
+@example(image_of({"torsion": [2, 4]}, [1, 1]), [0] * 400)
+@example(image_of({"torsion": []}, []), wide_twists(400, 2))
+@example(image_of({"free": 1, "torsion": [12]}, [1, 6]), wide_twists(400, 3))
+@example(image_of({"torsion": [3, 24]}, [1, 1]), wide_twists(2000, 4))
+@example(image_of({"torsion": [2, 4]}, [1, 1]), [0] * 2000)
+@example(image_of({"torsion": []}, []), wide_twists(2000, 5))
+@example(image_of({"free": 1, "torsion": [12]}, [1, 6]), wide_twists(2000, 6))
 def test_suspension_rank_matches_the_rank_oracle(image, xi):
     table = image_table(image, n=6, q=5)
     target = image["target"]
