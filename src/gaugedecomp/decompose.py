@@ -1,10 +1,11 @@
 """Symbolic homotopy-type decompositions of gauge groups.
 
-Expressions are canonical products of a small factor vocabulary: a gauge
-group over a single sphere, iterated loop spaces, and a pointed mapping
-space on the cofibre descriptor.
-Structural equality of canonicalized expressions is the notion of
-"same decomposition" used throughout; all results are immutable values.
+Expressions are products, in formula order, of a small factor vocabulary:
+a gauge group over a single sphere, iterated loop spaces, and a pointed
+mapping space on the cofibre descriptor.  Each function lists the same
+factors in the same order, so structural equality of expressions is the
+notion of "same decomposition" used throughout; all results are immutable
+values.
 
 Equivalence verdicts never claim more than is proved: the only branch
 with a complete iff criterion is SU(2) over seven-dimensional sums with
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import itemgetter
 
 from ._record import Record
 from .abelian import AbelianGroup, cardinality, direct_sum
@@ -42,9 +42,6 @@ class SphereGauge(Record):
 
     __slots__ = ("group", "base_dim", "level")
 
-    def sort_key(self):
-        return (0, self.base_dim, str(self.group), str(self.level))
-
     def __str__(self):
         return f"G^{self.level}(S^{self.base_dim})"
 
@@ -53,9 +50,6 @@ class LoopSpace(Record):
     """Iterated loop space Omega^degree of a space."""
 
     __slots__ = ("space", "degree")
-
-    def sort_key(self):
-        return (2, -self.degree, str(self.space))
 
     def __str__(self):
         prefix = "Omega" if self.degree == 1 else f"Omega^{self.degree}"
@@ -67,9 +61,6 @@ class MapStar(Record):
 
     __slots__ = ("cofibre", "group")
 
-    def sort_key(self):
-        return (3, str(self.group), self.cofibre.cell_dim, self.cofibre.sphere_count)
-
     def __str__(self):
         return f"Map*({self.cofibre.label()}, {self.group})"
 
@@ -78,28 +69,14 @@ Factor = SphereGauge | LoopSpace | MapStar
 
 
 class ProductExpr(Record):
-    """Canonical product of factors with multiplicities >= 1."""
+    """Product of factors in formula order, with multiplicities >= 1."""
 
     __slots__ = ("factors",)
 
     @classmethod
     def build(cls, pairs: Sequence[tuple[Factor, int]]) -> "ProductExpr":
-        """Factors of positive multiplicity by ``sort_key``, equal ones merged
-        within their run of equal keys, unhashed.  Only a direct caller passes
-        equal factors: no bijective clause admits n <= q, so a decomposition's
-        Omega^n G and Omega^q G differ."""
-        keyed = sorted([(f.sort_key(), f, m) for f, m in pairs if m > 0], key=itemgetter(0))
-        factors, keys = [], []
-        for key, factor, mult in keyed:
-            i = len(factors) - 1
-            while i >= 0 and keys[i] == key and factors[i][0] != factor:
-                i -= 1
-            if i >= 0 and keys[i] == key:
-                factors[i] = (factor, factors[i][1] + mult)
-            else:
-                factors.append((factor, mult))
-                keys.append(key)
-        return cls(tuple(factors))
+        """The factors of positive multiplicity, in the caller's order."""
+        return cls(tuple((f, m) for f, m in pairs if m > 0))
 
     def __str__(self):
         if not self.factors:
@@ -318,7 +295,8 @@ def _remark_shape(xi: tuple[int, ...], table: HomotopyTable) -> bool:
     It reads xi in the given basis, so it is not GL_r(Z)-invariant: true at
     (-23) and (1, 0), false at (23) and (1, 1).  The strict xfail
     test_pointed_pi_in_degree_zero_is_invariant_under_gl_r pins this until
-    ROADMAP item 9 restates the rule.
+    the rule is settled: ROADMAP item 10 shows that the groups it resolves
+    are unproved.
     """
     image = table.attaching_image(4, 3)
     m = cardinality(image.target) if image else 0

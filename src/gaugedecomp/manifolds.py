@@ -175,9 +175,9 @@ def suspension_splitting(
     r copies of S^{n+1}, r - rank copies of S^{q+1}, and the suspended
     cofibre.
     """
-    tbar = suspension_rank(spec, table)
+    cofibre = cofibre_space(spec, table)
     counts: dict[int, int] = {spec.n + 1: spec.r}
-    if spec.r - tbar > 0:
-        counts[spec.q + 1] = counts.get(spec.q + 1, 0) + (spec.r - tbar)
+    if spec.r - cofibre.sphere_count > 0:
+        counts[spec.q + 1] = counts.get(spec.q + 1, 0) + (spec.r - cofibre.sphere_count)
     spheres = tuple(sorted(counts.items(), key=lambda t: -t[0]))
-    return WedgeSplitting(spheres, cofibre_space(spec, table))
+    return WedgeSplitting(spheres, cofibre)

@@ -108,7 +108,7 @@ class TestDispatch:
                 assert (case.kind == DIM7_PI6_COPRIME) == (math.gcd(order, *xi) == 1)
 
     def test_no_bijective_clause_admits_n_at_most_q(self):
-        # ProductExpr.build merges no decomposition's factors on this fact:
+        # ProductExpr.build keeps its caller's factors unmerged on this fact:
         # with n > q, Omega^n G and Omega^q G are never the same factor.
         # xi = (1,) passes the seven-dimensional gate wherever it can.
         groups = (

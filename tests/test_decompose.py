@@ -51,41 +51,29 @@ class TestLevel:
 
 
 class TestBuild:
-    # A decomposition never passes equal factors (no bijective clause admits
-    # n <= q), so only direct calls reach the merge.
+    # Each decomposition lists its factors in formula order, and never two
+    # equal ones (no bijective clause admits n <= q), so build only filters.
 
-    def test_sorts_drops_zero_multiplicities_and_merges_equal_factors(self):
+    def test_keeps_caller_order_and_drops_nonpositive_multiplicities(self):
         maps = MapStar(CofibreDescriptor(1, 3, 7, (), True), SU(2))
         pairs = [
             (maps, 1),
             (LoopSpace(SU(2), 3), 2),
             (SphereGauge(SU(2), 4, 12), 0),
             (LoopSpace(SU(2), 4), 1),
-            (SphereGauge(SU(2), 4, 3), 1),
+            (SphereGauge(SU(2), 4, 3), -1),
             (LoopSpace(SU(2), 3), 3),
         ]
         product = ProductExpr.build(pairs)
         assert product.factors == (
-            (SphereGauge(SU(2), 4, 3), 1),
-            (LoopSpace(SU(2), 4), 1),
-            (LoopSpace(SU(2), 3), 5),
             (maps, 1),
+            (LoopSpace(SU(2), 3), 2),
+            (LoopSpace(SU(2), 4), 1),
+            (LoopSpace(SU(2), 3), 3),
         )
-        assert str(product) == "G^3(S^4) x Omega^4 SU(2) x Omega^3 SU(2)^5 x Map*(Y_F, SU(2))"
+        assert str(product) == "Map*(Y_F, SU(2)) x Omega^3 SU(2)^2 x Omega^4 SU(2) x Omega^3 SU(2)^3"
         assert ProductExpr.build([]).factors == () and str(ProductExpr.build([])) == "1"
-
-    def test_equal_factors_merge_across_an_unequal_one_with_their_key(self):
-        # Two pointed mapping spaces that differ only past their sort key:
-        # first appearance orders them, and equal ones still merge.
-        resolved = MapStar(CofibreDescriptor(1, 3, 7, (), True), SU(2))
-        unresolved = MapStar(CofibreDescriptor(1, 3, 7, (), False), SU(2))
-        assert resolved.sort_key() == unresolved.sort_key() and resolved != unresolved
-        pairs = [(unresolved, 1), (resolved, 2), (unresolved, 4), (LoopSpace(SU(2), 3), 1)]
-        assert ProductExpr.build(pairs).factors == (
-            (LoopSpace(SU(2), 3), 1),
-            (unresolved, 5),
-            (resolved, 2),
-        )
+        assert str(ProductExpr.build([(maps, 0)])) == "1"
 
 
 class TestUnpointed:

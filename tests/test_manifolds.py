@@ -213,6 +213,16 @@ class TestSplitting:
         s = suspension_splitting(ConnectedSumSpec(4, 3, (1, 1, 1)))
         assert str(s) == "S^5 v S^5 v S^5 v S^4 v S^4 v Sigma Y_F"
 
+    @pytest.mark.parametrize("spec, expected", [
+        (ConnectedSumSpec(3, 5, (0, 0)), "S^6 v S^6 v S^4 v S^4 v S^9"),
+        (ConnectedSumSpec(3, 3, (0, 0)), "S^4 v S^4 v S^4 v S^4 v S^7"),
+    ])
+    def test_zero_twists_sort_and_merge_spheres_without_a_table(self, spec, expected):
+        # With n <= q, which no corpus entry has, the q + 1 spheres come
+        # first or merge with the n + 1 ones.
+        s = suspension_splitting(spec, table_from_data({}))
+        assert str(s) == expected
+
 
 def twist_matrix(spec, image):
     """The r x k twist matrix, row i the image xi_i * c over the target's

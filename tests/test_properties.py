@@ -271,9 +271,7 @@ def twist_images(draw):
 def test_twist_column_matches_the_constructor(case):
     spec, image = case
     target = image.target
-    moduli = [0] * target.free_rank + list(target.torsion)
-    orders = [coordinate_order(s, c) for s, c in zip(moduli, image.coeffs)]
-    o = 0 if 0 in orders else math.lcm(*orders)
+    o = image_order([0] * target.free_rank + list(target.torsion), image.coeffs)
     built = _twist_column(spec, image)
     twin = MixedMatrix(spec.r, (Modulus(o),), spec.xi)
     check_same_record(built, twin)
@@ -296,6 +294,28 @@ def user_images(draw):
         torsion.append(torsion[-1] * step)  # s_1 | s_2 | ...
     coeffs = draw(st.lists(st.integers(-50, 50), min_size=free + len(torsion), max_size=free + len(torsion)))
     return image_of({"free": free, "torsion": torsion}, coeffs)
+
+
+def image_order(moduli, coeffs):
+    """The order of an image with these coefficients over Z/s for each
+    modulus s (Z for s = 0), or 0 when it is infinite."""
+    orders = [coordinate_order(s, c) for s, c in zip(moduli, coeffs)]
+    return 0 if 0 in orders else math.lcm(*orders)
+
+
+@st.composite
+def image_pairs(draw):
+    """A suspended image c and an unsuspended one c' with ord(c) | ord(c'),
+    as for c = Sigma c' (0 read as infinite): when c' has finite order o',
+    c's free coefficients are 0 and each Z/s one a multiple of s / gcd(s, o')."""
+    suspended, unsuspended = draw(user_images()), draw(user_images())
+    target = unsuspended["target"]
+    o = image_order([0] * target["free"] + target["torsion"], unsuspended["coeffs"])
+    if o:
+        target = suspended["target"]
+        moduli = [0] * target["free"] + target["torsion"]
+        suspended["coeffs"] = [c * (s // math.gcd(s, o)) for s, c in zip(moduli, suspended["coeffs"])]
+    return suspended, unsuspended
 
 
 def image_table(suspended, unsuspended=None, n=4, q=3):
@@ -394,7 +414,7 @@ def gl_moves(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     a, b = random_unimodular(rng, r), random_unimodular(rng, r)
     moved = ConnectedSumSpec(4, 3, a.apply(xi))
-    images = draw(st.none() | st.tuples(user_images(), user_images()))
+    images = draw(st.none() | image_pairs())
     table = default_table() if images is None else image_table(*images)
     return ConnectedSumSpec(4, 3, xi), ks, moved, b.apply(ks), draw(st.integers(1, 4)), table
 
