@@ -89,6 +89,12 @@ def Spin(m: int) -> LieGroup:
 
 
 _ALIASES = {Sp(1): SU(2), Spin(3): SU(2), Spin(5): Sp(2), Spin(6): SU(4)}
+# The groups whose pi_6 is nonzero; every other simply connected simple
+# compact group has pi_6 = 0.  Stable range by Bott periodicity (Bott 1959):
+# pi_6(SU(m)) = 0 for m >= 4, pi_6(Sp(m)) = 0 for m >= 2, pi_6(Spin(m)) = 0
+# for m >= 9.  Low rank and the exceptional groups by Mimura 1967, "The
+# homotopy groups of Lie groups of low rank": pi_6(SU(2)) = Z/12,
+# pi_6(SU(3)) = Z/6, pi_6(G2) = Z/3, and 0 for Spin(7), Spin(8), F4, E6-E8.
 _PI6_NONTRIVIAL = (SU(2), SU(3), G2)
 
 
@@ -302,7 +308,8 @@ def pi6_order(space: SpaceId, table: HomotopyTable | None = None) -> int:
 
     Shipped table entries are consulted first; beyond them the only groups
     with nontrivial pi_6 are SU(2), SU(3) and G2, so every other valid
-    group yields 1.
+    group yields 1: Bott periodicity (Bott 1959) for the stable range, and
+    Mimura 1967 for low rank.
     """
     if not isinstance(space, LieGroup):
         raise ValueError(f"pi6_order needs a Lie group, got {space}")

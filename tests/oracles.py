@@ -145,6 +145,39 @@ def twist_rank(xi: list[int], free: int, torsion: list[int], coeffs: list[int]) 
     return int(any(g % o if o else g for o in orders))
 
 
+def rational_degrees(space) -> tuple[int, ...]:
+    """Degrees of the rational homotopy of a sphere or a compact simply
+    connected simple Lie group, with multiplicity: the free rank of
+    pi_k(space) is the number of times k occurs.
+
+    A Lie group is rationally a product of odd spheres, one per generator
+    degree (Borel 1953; Mimura-Toda, Topology of Lie Groups, 1991).
+    Spin(2l) has 2l - 1 besides 3, 7, ..., 4l - 5, so twice when l is even.
+    pi_k(S^m) is rationally Q exactly when k = m, or m is even and
+    k = 2m - 1 (Serre 1953).
+    """
+    family = getattr(space, "family", None)
+    if family is None:
+        m = space.dim
+        return (m,) if m % 2 else (m, 2 * m - 1)
+    rank = space.rank
+    if family == "SU":
+        return tuple(range(3, 2 * rank, 2))
+    if family == "Sp":
+        return tuple(range(3, 4 * rank, 4))
+    if family == "Spin" and rank % 2:  # Spin(2l + 1): 3, 7, ..., 4l - 1
+        return tuple(range(3, 2 * rank - 2, 4))
+    if family == "Spin":  # Spin(2l): 3, 7, ..., 4l - 5 and 2l - 1
+        return tuple(sorted([*range(3, 2 * rank - 4, 4), rank - 1]))
+    return {
+        "G2": (3, 11),
+        "F4": (3, 11, 15, 23),
+        "E6": (3, 9, 11, 15, 17, 23),
+        "E7": (3, 11, 15, 19, 23, 27, 35),
+        "E8": (3, 15, 23, 27, 35, 39, 47, 59),
+    }[family]
+
+
 def echelon_rank(b) -> int:
     """Number of nonzero rows of b, which must be in echelon form: each
     nonzero row leads strictly right of the row above, zero rows at the

@@ -192,6 +192,58 @@ def test_echelon_matches_the_row_by_row_reduction(case):
     assert (d.to_lists(), b.to_lists(), d.det()) == row_by_row_echelon([0] * len(moduli), rows)
 
 
+@st.composite
+def one_column_inputs(draw, max_rows=64):
+    """A modulus and 2..max_rows entries: negative ones, ones at or above
+    the modulus, zeros, and values drawn again from a small pool, so that
+    the least entry of a Euclid round is often tied."""
+    m = draw(st.sampled_from([0, 12, 2**61 - 1]))
+    pool = draw(st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=3))
+    cell = st.one_of(
+        st.just(0),
+        st.sampled_from(pool),
+        st.integers(-(2**64), 2**64),
+        st.integers(m, m + 2**64),
+        st.integers(-16, 16),
+    )
+    n = draw(st.integers(2, max_rows))
+    return m, draw(st.lists(cell, min_size=n, max_size=n))
+
+
+def wide_column(r, bits, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(r)]
+
+
+@settings(PROFILE, max_examples=150)
+@given(one_column_inputs())
+@example((0, wide_column(400, 16, 1)))
+@example((12, wide_column(400, 16, 2)))
+@example((0, wide_column(400, 64, 3)))
+@example((2**61 - 1, wide_column(400, 64, 4)))
+def test_one_column_echelon_matches_the_row_by_row_reduction(case):
+    # Every Euclid round of a last column is one pass over its rows; the
+    # result must be the oracle's, which applies each row operation alone.
+    m, column = case
+    rows = [[v] for v in column]
+    d, b = row_echelon_mixed(MixedMatrix.from_rows([Modulus(m)], rows))
+    assert (d.to_lists(), b.to_lists(), d.det()) == row_by_row_echelon([m], rows)
+    if m == 0:
+        d, b = row_echelon_int(IntMatrix.from_rows(rows))
+        assert (d.to_lists(), b.to_lists(), d.det()) == row_by_row_echelon([0], rows)
+
+
+@settings(PROFILE, max_examples=40)
+@given(one_column_inputs(max_rows=400))
+@example((12, wide_column(400, 16, 5)))
+@example((2**61 - 1, wide_column(400, 64, 6)))
+def test_orbit_reduce_matches_the_row_by_row_reduction(case):
+    m, x = case
+    cert = orbit_reduce(Modulus(m), x)
+    d, b, det = row_by_row_echelon([m], [[v] for v in x])
+    assert (cert.transform.to_lists(), [[c.value] for c in cert.canonical], cert.det) == (d, b, det)
+
+
 @settings(PROFILE, max_examples=40)
 @given(
     st.sampled_from([0, 1, 2, 12, 60, 97]),

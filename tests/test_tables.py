@@ -4,7 +4,10 @@ import random
 import pytest
 
 from gaugedecomp import (
+    E6,
+    E7,
     E8,
+    F4,
     G2,
     AbelianGroup,
     ConnectedSumSpec,
@@ -27,6 +30,7 @@ from gaugedecomp import (
     stable_condition,
 )
 from gaugedecomp.tables import GeneratorImage, space_from_dict, space_to_dict, table_from_data
+from oracles import rational_degrees
 
 CORE = default_table()
 
@@ -298,3 +302,26 @@ def test_generator_image_stores_exact_integer_coefficients():
     image = GeneratorImage(AbelianGroup(1, (12,)), [True, 13], "x")
     assert image.coeffs == (1, 13)
     assert type(image.coeffs) is tuple and all(type(c) is int for c in image.coeffs)
+
+
+@pytest.mark.parametrize(
+    "group, rank, dim",
+    [(SU(m), m - 1, m * m - 1) for m in (2, 3, 8)]
+    + [(Sp(m), m, m * (2 * m + 1)) for m in (1, 2, 4)]
+    + [(Spin(m), m // 2, m * (m - 1) // 2) for m in (3, 4, 7, 8, 10, 12)]
+    + [(G2, 2, 14), (F4, 4, 52), (E6, 6, 78), (E7, 7, 133), (E8, 8, 248)],
+)
+def test_rational_degrees_count_the_rank_and_sum_to_the_dimension(group, rank, dim):
+    # A compact Lie group is rationally a product of one odd sphere per
+    # generator: as many as its rank, whose dimensions add up to its own.
+    degrees = rational_degrees(group)
+    assert len(degrees) == rank and sum(degrees) == dim
+
+
+def test_every_core_entry_has_the_rational_free_rank():
+    # Rational homotopy fixes each entry's free rank without the table:
+    # Borel's generator degrees for the groups, Serre's rule for the spheres.
+    entries = default_table().entries()
+    assert {type(e.space) for e in entries} == {Sphere, LieGroup}
+    for e in entries:
+        assert e.group.free_rank == rational_degrees(e.space).count(e.degree), (str(e.space), e.degree)
