@@ -4,9 +4,8 @@ Provides row echelon forms over columns that mix Z with residue rings
 Z/m, the gcd-orbit reduction of residue vectors with an invertibility
 certificate, the induced action of integer matrices on tuples of
 abelian-group elements, and the Smith invariant factors of an integer
-matrix (a reduction to a diagonal followed by the gcd/lcm fold of
-``residues.invariant_factors``).  Everything is exact; there is no
-floating point anywhere.  Matrices and certificates are immutable.
+matrix, read off alternating echelons of it and its transpose.  All is
+exact; there is no floating point.  Matrices and certificates are immutable.
 
 An echelon reduces each column on its own values.  The Euclid steps that
 place a column's pivot run on a one-column reducer, which records them as a
@@ -421,9 +420,9 @@ def _apply_segment(red: _Reducer, seg: _Reducer, col: int, top: int) -> None:
 
 
 def _echelon(
-    a: IntMatrix | MixedMatrix, moduli: Sequence[Modulus]
+    entries: tuple[int, ...], moduli: Sequence[Modulus]
 ) -> tuple[IntMatrix, tuple[int, ...]]:
-    rows = list(map(list, zip(*[iter(a.entries)] * len(moduli))))
+    rows = list(map(list, zip(*[iter(entries)] * len(moduli))))
     red = _Reducer(rows, tuple([mod.m for mod in moduli]))
     nrows, last = len(red.mat), len(moduli) - 1
     top = 0
@@ -502,7 +501,7 @@ def row_echelon_int(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (D, B) with det(D) in {+1, -1}, D @ a == B, pivots positive and
     entries above each pivot reduced into [0, pivot).
     """
-    d, entries = _echelon(a, (INTEGERS,) * a.cols)
+    d, entries = _echelon(a.entries, (INTEGERS,) * a.cols)
     b = object.__new__(IntMatrix)
     set_field(b, "rows", a.rows)
     set_field(b, "cols", a.cols)
@@ -517,7 +516,7 @@ def row_echelon_mixed(a: MixedMatrix) -> tuple[IntMatrix, MixedMatrix]:
     column's residue ring.  Pivots of multi-row segments equal the gcd of
     the remaining column segment together with the column modulus.
     """
-    d, entries = _echelon(a, a.column_moduli)
+    d, entries = _echelon(a.entries, a.column_moduli)
     b = object.__new__(MixedMatrix)
     set_field(b, "rows", a.rows)
     set_field(b, "column_moduli", a.column_moduli)
@@ -539,50 +538,25 @@ def is_echelon(b: IntMatrix | MixedMatrix) -> bool:
     return all(y > x or y == cols for x, y in zip(leads, leads[1:]))
 
 
-def _smallest_entry(mat: list[list[int]], k: int) -> tuple[int, int] | None:
-    """Position of a least nonzero |entry| in rows and columns k..., if any."""
-    best, pivot = 0, None
-    for i in range(k, len(mat)):
-        row = mat[i]
-        for j in range(k, len(row)):
-            v = abs(row[j])
-            if v and (pivot is None or v < best):
-                best, pivot = v, (i, j)
-    return pivot
-
-
 def smith_invariants(a: IntMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix, units included.
 
-    Alternating row/column reduction to a diagonal: the least nonzero
-    entry of the remaining block moves to the pivot slot and reduces its
-    row and column, which repeats on the remainders until both are clear.
-    The diagonal is then folded into a divisibility chain by
-    ``residues.invariant_factors``.  Only the invariants are tracked, not
-    the transforms.
+    Row Hermite forms of the matrix and its transpose alternate, each an
+    ``_echelon`` over Z less zero rows, until each row holds only its pivot,
+    which ``invariant_factors`` folds (Kannan-Bachem 1979; Cohen, 2.4.4).
+
+    The rounds end: from the second on, the (1, 1) pivot is the gcd of the
+    last round's row 0, a divisor of its pivot d.  If it is d, Euclid took
+    that round's column 0, (d, 0, ..., 0), as pivot row (ties go to the
+    lowest row): row and column 0 stay so.  Else d falls.  Induct on the rest.
+
+    >>> smith_invariants(IntMatrix.from_rows([[2, 1], [0, 2]]))  # three rounds
+    (1, 4)
     """
-    mat = a.to_lists()
-    nrows, ncols = a.rows, a.cols
-    diagonal = []
-    k = 0
-    while k < min(nrows, ncols) and (pivot := _smallest_entry(mat, k)):
-        pi, pj = pivot
-        mat[k], mat[pi] = mat[pi], mat[k]
-        for row in mat:
-            row[k], row[pj] = row[pj], row[k]
-        for i in range(k + 1, nrows):
-            q = mat[i][k] // mat[k][k]
-            if q:
-                for j in range(k, ncols):
-                    mat[i][j] -= q * mat[k][j]
-        for j in range(k + 1, ncols):
-            q = mat[k][j] // mat[k][k]
-            if q:
-                for i in range(k, nrows):
-                    mat[i][j] -= q * mat[i][k]
-        if all(mat[i][k] == 0 for i in range(k + 1, nrows)) and all(
-            mat[k][j] == 0 for j in range(k + 1, ncols)
-        ):
-            diagonal.append(mat[k][k])
-            k += 1
-    return invariant_factors(diagonal)
+    entries, cols = a.entries, a.cols
+    while True:
+        _, entries = _echelon(entries, (INTEGERS,) * cols)
+        rows = [row for row in zip(*[iter(entries)] * cols) if any(row)]
+        if all(row.count(0) == cols - 1 for row in rows):
+            return invariant_factors(map(sum, rows))
+        entries, cols = tuple(chain.from_iterable(zip(*rows))), len(rows)

@@ -335,15 +335,28 @@ class TestSmithInvariants:
             assert tuple(s for s in got if s > 1) == want
 
     def test_against_determinantal_oracle(self):
+        # Shapes 1 x n, n x 1 and up to 5 x 5; rank-deficient matrices; entries
+        # of 31-80 bits, whose columns the echelons defer to a one-column reducer.
         rng = random.Random(48)
-        for _ in range(60):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 4)
-            a = IntMatrix(
-                rows, cols,
-                tuple(rng.randint(-9, 9) for _ in range(rows * cols)),
-            )
-            assert smith_invariants(a) == determinantal_invariants(a)
+        cases = [
+            ([[2, 1], [0, 2]], (1, 4)),  # three rounds; the first alone reads (2, 2)
+            ([[4, 2], [0, 3]], (1, 12)),  # four rounds; the first two alone read (2, 6)
+            ([[0] * 4] * 3, ()),
+        ]
+        for _ in range(240):
+            shape = rng.randrange(4)  # 0: one row, 1: one column, else any
+            rows = 1 if shape == 0 else rng.randint(1, 5)
+            cols = 1 if shape == 1 else rng.randint(1, 5)
+            bits = rng.choice([4, rng.randint(31, 80)])
+            mat = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.25:
+                mat[1] = [2 * v for v in mat[0]]
+            cases.append((mat, None))
+        for mat, want in cases:
+            a = IntMatrix.from_rows(mat)
+            got = smith_invariants(a)
+            assert got == determinantal_invariants(a), mat
+            assert want in (None, got)
 
 
 class TestCrossPathConsistency:

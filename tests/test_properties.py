@@ -17,12 +17,16 @@ from hypothesis import strategies as st
 from gaugedecomp import (
     AbelianGroup,
     ConnectedSumSpec,
+    E6,
+    E7,
     E8,
+    F4,
     G2,
     IntMatrix,
     MixedMatrix,
     Modulus,
     Sp,
+    Spin,
     SU,
     classify_conditions,
     default_table,
@@ -49,6 +53,7 @@ from oracles import (
     coordinate_order,
     diagonal,
     random_unimodular,
+    rational_degrees,
     row_by_row_echelon,
     smith_by_factorization,
     twist_rank,
@@ -501,6 +506,81 @@ def test_queries_are_invariant_under_gl_r(case):
 def test_pointed_pi_in_degree_zero_is_invariant_under_gl_r(xi, moved):
     spec, moved = ConnectedSumSpec(4, 3, xi), ConnectedSumSpec(4, 3, moved)
     assert pointed_gauge_pi(SU(2), spec, 0) == pointed_gauge_pi(SU(2), moved, 0)
+
+
+# Rational ranks.  G is rationally a product of K(Q, d) over its degrees d,
+# and components of pointed mapping spaces from a finite complex rationalize
+# (Hilton-Mislin-Roitberg 1975).  M has reduced Betti numbers b_n = b_q = r
+# and b_{n+q} = 1, so pi_j of the pointed gauge group has free rank
+# r #(j + n) + r #(j + q) + #(j + n + q), the degrees counted with
+# multiplicity, and [M, BG], its j = -1, has r #(n-1) + r #(q-1) + #(n+q-1).
+RATIONAL_GROUPS = (SU(2), SU(3), SU(4), SU(6), Sp(2), Sp(3), Spin(7), Spin(8), G2, F4, E6, E7, E8)
+
+
+def rational_free_rank(group, spec, j):
+    count = rational_degrees(group).count
+    return spec.r * count(j + spec.n) + spec.r * count(j + spec.q) + count(j + spec.n + spec.q)
+
+
+@st.composite
+def rational_inputs(draw, pairs):
+    """A group, a spec over one of ``pairs`` with r = 1..4 whose twists are
+    multiples of 12 half the time (t-bar = 0 on the core table), and j."""
+    n, q = draw(st.sampled_from(pairs))
+    scale = draw(st.sampled_from([1, 12]))
+    xi = draw(st.lists(small_ints, min_size=1, max_size=4))
+    spec = ConnectedSumSpec(n, q, tuple(scale * v for v in xi))
+    return draw(st.sampled_from(RATIONAL_GROUPS)), spec, draw(st.integers(0, 7))
+
+
+@settings(PROFILE, max_examples=300)
+@given(rational_inputs([(4, 3)]))
+@example((SU(4), ConnectedSumSpec(4, 3, (0,)), 0))
+@example((Sp(3), ConnectedSumSpec(4, 3, (12, -24, 0)), 0))
+@example((SU(2), ConnectedSumSpec(4, 3, (1, 1)), 0))
+def test_pointed_pi_has_the_rational_free_rank(case):
+    group, spec, j = case
+    try:
+        pi = pointed_gauge_pi(group, spec, j)
+    except ValueError:  # no bijective clause for these twists
+        return
+    predicted = rational_free_rank(group, spec, j)
+    assert pi.known.free_rank <= predicted
+    if pi.is_resolved and suspension_rank(spec, default_table()) == 0:
+        assert pi.known.free_rank == predicted
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the pi_0 remark rule resolves the residual at t-bar = 1 and so "
+    "drops the copy of pi_3(G) that the rational rank counts",
+)
+@pytest.mark.parametrize(
+    "group, xi", [(SU(2), (1,)), (SU(2), (13, 0)), (Sp(2), (-23, 24, 0)), (E8, (1, 12, 0, 0))]
+)
+def test_pointed_pi_remark_rows_have_the_rational_free_rank(group, xi):
+    spec = ConnectedSumSpec(4, 3, xi)
+    pi = pointed_gauge_pi(group, spec, 0)
+    assert not pi.is_resolved or pi.known.free_rank == rational_free_rank(group, spec, 0)
+
+
+@settings(PROFILE, max_examples=300)
+@given(rational_inputs([(4, 3), (6, 3), (6, 5), (8, 3), (4, 2), (5, 3), (7, 5), (10, 3)]))
+@example((Sp(3), ConnectedSumSpec(8, 3, (1, 0)), 0))
+@example((SU(6), ConnectedSumSpec(6, 5, (2, 3)), 0))
+@example((SU(6), ConnectedSumSpec(7, 5, (1, 12)), 0))
+def test_principal_bundles_have_the_rational_free_rank(case):
+    group, spec, _ = case
+    try:
+        bundles = principal_bundles(group, spec)
+    except (ValueError, LookupError):  # no clause, or no table data to fix the rank
+        return
+    predicted = rational_free_rank(group, spec, -1)
+    if bundles.free_rank is not None:
+        assert bundles.free_rank == predicted
+    else:
+        terms = bundles.formula.terms
+        assert sum(g.free_rank * mult for g, mult in terms if g is not None) <= predicted
 
 
 # A (6, 5) suspended image with target Z/2 (+) Z/4 and coefficients (1, 1).
