@@ -105,10 +105,6 @@ class GroupElement(Record):
         set_field(self, "group", group)
         set_field(self, "coeffs", reduced)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -121,18 +117,12 @@ class GroupElement(Record):
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.group, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
     def __rmul__(self, c: int) -> "GroupElement":
         if not isinstance(c, int):
             return NotImplemented
         return GroupElement(self.group, tuple(c * v for v in self.coeffs))
 
     __mul__ = __rmul__
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
 def direct_sum(groups: Iterable[AbelianGroup]) -> AbelianGroup:

@@ -42,9 +42,6 @@ class ClassificationCase(Record):
     def is_bijective(self) -> bool:
         return self.kind in _BIJECTIVE
 
-    def __str__(self):
-        return f"{self.kind}({self.reason})" if self.reason else self.kind
-
 
 def classify_conditions(
     group: SpaceId, spec: ConnectedSumSpec, table: HomotopyTable | None = None

@@ -87,6 +87,24 @@ def suspension_rank(
     return 1 if reduced.entries[0] else 0
 
 
+def _unsuspended_image(spec: ConnectedSumSpec, table: HomotopyTable, tbar: int | None = None):
+    """The unsuspended image c' for nonzero twists, or None when the tables lack it.
+
+    A missing suspended image c raises MissingTableError.  As c = Sigma c',
+    ord(c) divides ord(c'), and a table that breaks this raises ValueError
+    when t-bar = 1; a t-bar not given is computed only for such a table.
+    """
+    o_c = _suspended_image(spec, table)._order[1]
+    image = table.attaching_image(spec.n, spec.q)
+    # Order 0 is infinite, and every order divides it; a missing c' checks nothing.
+    o = 0 if image is None else image._order[1]
+    if (o % o_c if o_c else o) and (suspension_rank(spec, table) if tbar is None else tbar):
+        raise ValueError(f"(n, q)=({spec.n}, {spec.q}): the suspended image has order "
+                         f"{o_c or 'infinite'}, which does not divide the order "
+                         f"{o or 'infinite'} of the unsuspended image")
+    return image
+
+
 class CofibreDescriptor(Record):
     """The cofibre of a map from S^{n+q-1} into a wedge of q-spheres.
 
@@ -109,9 +127,6 @@ class CofibreDescriptor(Record):
             return f"S^{self.cell_dim + shift}"
         return "Sigma Y_F" if suspended else "Y_F"
 
-    def __str__(self):
-        return self.label()
-
 
 def cofibre_space(
     spec: ConnectedSumSpec, table: HomotopyTable | None = None
@@ -129,14 +144,9 @@ def cofibre_space(
     if tbar == 0:
         # Empty wedge: the cofibre is the sphere S^{n+q} outright.
         return CofibreDescriptor(0, spec.q, cell_dim, (), True)
-    image = table.attaching_image(spec.n, spec.q)
+    image = _unsuspended_image(spec, table, tbar)
     if image is None:
         return CofibreDescriptor(tbar, spec.q, cell_dim, (), False)
-    o, o_c = image._order[1], table.suspended_image(spec.n, spec.q)._order[1]
-    if o % o_c if o_c else o:  # order 0 is infinite, and every order divides it
-        raise ValueError(f"(n, q)=({spec.n}, {spec.q}): the suspended image has order "
-                         f"{o_c or 'infinite'}, which does not divide the order "
-                         f"{o or 'infinite'} of the unsuspended image")
     _, reduced = row_echelon_mixed(_twist_column(spec, image))
     attaching = (reduced.entries[0] * GroupElement(image.target, image.coeffs),)
     return CofibreDescriptor(tbar, spec.q, cell_dim, attaching, True)

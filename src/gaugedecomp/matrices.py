@@ -240,15 +240,13 @@ class OrbitCertificate(Record):
     @property
     def divisor(self) -> int:
         """The orbit invariant: gcd of the input together with the modulus."""
-        return gcd_mod(self.modulus, self.canonical)
+        return gcd_mod(self.modulus, [x.value for x in self.canonical])
 
-    def verify(self, x: Sequence[Residue | int]) -> bool:
-        """Check transform @ x == canonical coordinate-wise (mod m)."""
-        values = [v.value if isinstance(v, Residue) else v for v in x]
-        image = self.transform.apply(values)
+    def verify(self, x: Sequence[int]) -> bool:
+        """Check transform @ x == canonical coordinate-wise (mod m), x given as ints."""
+        image = self.transform.apply(x)
         return all(
-            self.modulus.reduce(image[i]) == self.canonical[i].value
-            for i in range(len(values))
+            self.modulus.reduce(v) == c.value for v, c in zip(image, self.canonical)
         )
 
 
@@ -455,8 +453,9 @@ def _echelon(
     return d, tuple(chain.from_iterable(red.mat))
 
 
-def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertificate:
-    """Carry a residue vector to its orbit canonical form (d, 0, ..., 0).
+def orbit_reduce(modulus: Modulus, x: Sequence[int]) -> OrbitCertificate:
+    """Carry a residue vector, given by int representatives, to its orbit
+    canonical form (d, 0, ..., 0).
 
     d is the gcd of the representatives together with the modulus, and the
     returned certificate's unimodular transform realizes the reduction by
@@ -467,23 +466,15 @@ def orbit_reduce(modulus: Modulus, x: Sequence[Residue | int]) -> OrbitCertifica
     r = len(x)
     if r < 2:
         raise ValueError("orbit reduction needs a vector of length >= 2")
-    values = []
-    for v in x:
-        if isinstance(v, Residue):
-            if v.modulus != modulus:
-                raise ValueError(f"mixed moduli: expected {modulus}, got {v.modulus}")
-            v = v.value
-        values.append(v)
     # A one-column echelon: its single pivot sits in row 0, so the Hermite pass is empty.
-    transform, reduced = row_echelon_mixed(MixedMatrix(r, (modulus,), values))
+    transform, reduced = row_echelon_mixed(MixedMatrix(r, (modulus,), x))
     canonical = tuple(Residue(modulus, v) for v in reduced.entries)
     return OrbitCertificate(modulus, transform, canonical)
 
 
-def same_orbit(
-    modulus: Modulus, x: Sequence[Residue | int], y: Sequence[Residue | int]
-) -> bool:
-    """Whether two residue vectors lie in one orbit of the unimodular action.
+def same_orbit(modulus: Modulus, x: Sequence[int], y: Sequence[int]) -> bool:
+    """Whether two residue vectors, given by int representatives, lie in one
+    orbit of the unimodular action.
 
     The complete invariant is the gcd of the coordinates together with the
     modulus, so this is a pure gcd comparison.

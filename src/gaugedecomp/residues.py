@@ -27,16 +27,9 @@ class Modulus(Record):
             raise ValueError(f"modulus must be non-negative, got {m}")
         set_field(self, "m", m)
 
-    @property
-    def is_integers(self) -> bool:
-        return self.m == 0
-
     def reduce(self, value: int) -> int:
         """Canonical representative: in [0, m) for m > 0, the value itself for m == 0."""
         return value if self.m == 0 else value % self.m
-
-    def __str__(self):
-        return "Z" if self.m == 0 else f"Z/{self.m}"
 
 
 INTEGERS = Modulus(0)
@@ -45,7 +38,9 @@ INTEGERS = Modulus(0)
 class Residue(Record):
     """An element of Z/m (of Z when m == 0), stored canonically.
 
-    Canonical storage makes residues hashable and directly comparable.
+    Canonical storage makes residues hashable and directly comparable.  It
+    is the form of an orbit certificate's canonical vector; the functions
+    that take residue vectors take their int representatives.
     """
 
     __slots__ = ("modulus", "value")
@@ -53,11 +48,6 @@ class Residue(Record):
     def __init__(self, modulus: Modulus, value: int):
         set_field(self, "modulus", modulus)
         set_field(self, "value", modulus.reduce(index(value)))
-
-    def __str__(self):
-        if self.modulus.is_integers:
-            return str(self.value)
-        return f"{self.value} (mod {self.modulus.m})"
 
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -80,25 +70,15 @@ def bezout(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def gcd_mod(modulus: Modulus, xs: Iterable[Residue | int]) -> int:
-    """gcd of the representatives of ``xs`` together with the modulus itself.
+def gcd_mod(modulus: Modulus, xs: Iterable[int]) -> int:
+    """gcd of the integers ``xs`` together with the modulus itself.
 
     For m == 0 this is the plain gcd of the values; for m > 0 the result
     divides m.  An all-zero input over Z gives 0 (the "infinite order"
     marker used throughout the package).  The result does not depend on
-    the choice of representatives.
+    the choice of representatives mod m.
     """
-    g = modulus.m
-    for x in xs:
-        if isinstance(x, Residue):
-            if x.modulus != modulus:
-                raise ValueError(
-                    f"mixed moduli: expected {modulus}, got {x.modulus}"
-                )
-            g = math.gcd(g, x.value)
-        else:
-            g = math.gcd(g, modulus.reduce(x))
-    return g
+    return math.gcd(modulus.m, *xs)
 
 
 def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:

@@ -24,11 +24,10 @@ _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 
 
 class MissingTableError(LookupError):
-    """A required table entry is absent; ``key`` names what was needed."""
+    """A required table entry is absent."""
 
     def __init__(self, key: str):
         super().__init__(f"missing table entry: {key}")
-        self.key = key
 
 
 class Sphere(Record):

@@ -7,8 +7,10 @@ subcommand in pretty and ``--json`` form, ``pi`` on wide sums whose
 groups fold a hundred and more cyclic orders, the table listing, a user
 table with torsion out of chain order, user twist images in the
 two-generator targets Z/2 (+) Z/4 and Z/3 (+) Z/24, a user table whose
-suspended image cannot be a suspension, the stable-wedge
-bundle formula, and exit codes 1 and 2.
+suspended image cannot be a suspension (``splitting``, ``decompose``,
+``pi`` and ``equivalent``, refused where the twists hit that image and
+answered where they miss it), the stable-wedge bundle formula, and exit
+codes 1 and 2.
 
 To record a new corpus, run ``python3 tests/test_cli_corpus.py`` with
 ``src`` on the path: it rewrites the outputs for the listed argv.

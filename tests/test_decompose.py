@@ -1,9 +1,11 @@
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from gaugedecomp import manifolds
 from gaugedecomp import (
     AbelianGroup,
     CofibreDescriptor,
@@ -24,6 +26,7 @@ from gaugedecomp import (
     default_table,
     gauge_decomposition,
     gauge_equivalent,
+    load_tables,
     pointed_gauge_decomposition,
     pointed_gauge_pi,
     same_orbit,
@@ -314,6 +317,49 @@ class TestPointedPi:
     def test_unknown_entries_stay_symbolic(self):
         out = pointed_gauge_pi(SU(2), SPEC, 5)
         assert "pi_9(SU(2))" in " ".join(out.symbolic)
+
+
+class TestImagesThatAreNoSuspension:
+    """A table whose suspended image c, of order 4, cannot be the suspension
+    of its unsuspended image c', of order 2."""
+
+    TABLE = load_tables([Path(__file__).parent / "data" / "table_bad_suspension.json"])
+    QUERIES = (
+        lambda spec, table: gauge_decomposition(SU(6), spec, (1, 1), table),
+        lambda spec, table: pointed_gauge_decomposition(SU(6), spec, None, table),
+        lambda spec, table: pointed_gauge_pi(SU(6), spec, 0, table),
+        lambda spec, table: gauge_equivalent(SU(6), spec, (1, 1), (1, 2), table),
+    )
+
+    def test_every_query_refuses_a_hit_twist_with_one_message(self):
+        spec = ConnectedSumSpec(6, 5, (2, 4))  # t-bar = 1
+        messages = set()
+        for query in self.QUERIES:
+            with pytest.raises(ValueError) as refused:
+                query(spec, self.TABLE)
+            messages.add(str(refused.value))
+        assert messages == {
+            "(n, q)=(6, 5): the suspended image has order 4, which does not divide "
+            "the order 2 of the unsuspended image"
+        }
+
+    def test_every_query_answers_twists_that_miss_c(self):
+        spec = ConnectedSumSpec(6, 5, (4, 8))  # t-bar = 0
+        for query in self.QUERIES:
+            query(spec, self.TABLE)
+
+
+def test_equivalent_runs_no_echelon_and_pi_one_on_the_core_table(monkeypatch):
+    calls = []
+    echelon = manifolds.row_echelon_mixed
+    monkeypatch.setattr(manifolds, "row_echelon_mixed", lambda a: calls.append(a) or echelon(a))
+    for xi in ((1, 0), (5, 7), (1, 4, 6), (13, 24)):
+        spec = ConnectedSumSpec(4, 3, xi)
+        gauge_equivalent(SU(2), spec, (1,) * spec.r, (2,) * spec.r)
+        assert calls == []
+        pointed_gauge_pi(SU(2), spec, 1)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_wedge_requires_lie_group():

@@ -12,6 +12,7 @@ from gaugedecomp import (
     IntMatrix,
     MixedMatrix,
     Modulus,
+    Residue,
     Z,
     cyclic,
     direct_sum,
@@ -88,6 +89,17 @@ class TestOrbitReduce:
     def test_rejects_short_vectors(self):
         with pytest.raises(ValueError):
             orbit_reduce(Modulus(12), (6,))
+
+    @pytest.mark.parametrize("call", [
+        lambda m, x: orbit_reduce(m, x),
+        lambda m, x: orbit_reduce(m, (6, 4)).verify(x),
+        lambda m, x: same_orbit(m, x, (6, 4)),
+        lambda m, x: gcd_mod(m, x),
+    ])
+    def test_residue_inputs_raise_type_error(self, call):
+        m = Modulus(12)
+        with pytest.raises(TypeError):
+            call(m, (Residue(m, 6), Residue(m, 4)))
 
     def test_certificates_random(self):
         rng = random.Random(41)

@@ -23,9 +23,11 @@ from gaugedecomp import (
     F4,
     G2,
     IntMatrix,
+    LoopSpace,
     MixedMatrix,
     Modulus,
     Sp,
+    SphereGauge,
     Spin,
     SU,
     classify_conditions,
@@ -411,9 +413,15 @@ def test_suspension_rank_matches_the_rank_oracle(image, xi):
     assert suspension_rank(ConnectedSumSpec(6, 5, tuple(xi)), table) == expected
 
 
-# The core table alone, and the core with a connecting order for G2 over
-# S^4, so that both the known-order and the unknown-order levels are met.
-TABLES = (default_table(), load_tables([Path(__file__).parent / "data" / "cli_orders.json"]))
+# The core table alone, the core with a connecting order for G2 over S^4,
+# so that both the known-order and the unknown-order levels are met, and
+# the core with (6, 5) images whose suspended one is not a suspension.
+DATA = Path(__file__).parent / "data"
+TABLES = (
+    default_table(),
+    load_tables([DATA / "cli_orders.json"]),
+    load_tables([DATA / "table_bad_suspension.json"]),
+)
 GROUPS = (SU(2), SU(3), SU(4), Sp(2), G2, E8, SU(5), SU(6))
 
 
@@ -427,6 +435,8 @@ def equivalence_inputs(draw):
 
 @settings(PROFILE, max_examples=150)
 @given(equivalence_inputs())
+@example((ConnectedSumSpec(6, 5, (2, 4)), (1, 1), (1, 2)))  # refused: t-bar = 1
+@example((ConnectedSumSpec(6, 5, (4, 8)), (1, 1), (1, 2)))  # answered: t-bar = 0
 def test_equivalent_exactly_when_decompositions_agree(case):
     spec, ks, ks2 = case
     for table in TABLES:
@@ -437,11 +447,11 @@ def test_equivalent_exactly_when_decompositions_agree(case):
                 same = gauge_decomposition(group, spec, ks, table) == gauge_decomposition(
                     group, spec, ks2, table
                 )
-            except LookupError as refused:
+            except (LookupError, ValueError) as refused:
                 # What cannot be decomposed cannot be judged equivalent either.
-                with pytest.raises(LookupError) as raised:
+                with pytest.raises((LookupError, ValueError)) as raised:
                     gauge_equivalent(group, spec, ks, ks2, table)
-                assert str(raised.value) == str(refused)
+                assert (type(raised.value), str(raised.value)) == (type(refused), str(refused))
                 continue
             verdict = gauge_equivalent(group, spec, ks, ks2, table).verdict
             assert (verdict == "Equivalent") == same, (group, verdict)
@@ -581,6 +591,41 @@ def test_principal_bundles_have_the_rational_free_rank(case):
     else:
         terms = bundles.formula.terms
         assert sum(g.free_rank * mult for g, mult in terms if g is not None) <= predicted
+
+
+def factor_free_rank(factor, j):
+    """The free rank of pi_j of one factor, from its kind alone: Omega^d G
+    has #(j + d); G^k(S^n) has #(j) + #(j + n), as its connecting map has
+    finite order; Map*(S^c, G) has #(j + c), and Map*(Y_F, G) has
+    #(j + q) + #(j + n + q), as pi_{n+q-1}(S^q) is finite for odd q."""
+    if isinstance(factor, LoopSpace):
+        return rational_degrees(factor.space).count(j + factor.degree)
+    count = rational_degrees(factor.group).count
+    if isinstance(factor, SphereGauge):
+        return count(j) + count(j + factor.base_dim)
+    cofibre = factor.cofibre
+    return count(j + cofibre.cell_dim) + (0 if cofibre.is_sphere else count(j + cofibre.wedge_dim))
+
+
+@settings(PROFILE, max_examples=300)
+@given(rational_inputs([(4, 3)]))
+@example((SU(2), ConnectedSumSpec(4, 3, (1, 1)), 0))  # t-bar = 1
+@example((Sp(3), ConnectedSumSpec(4, 3, (12, -24, 0)), 0))  # t-bar = 0
+@example((E8, ConnectedSumSpec(4, 3, (5, 7, 1, 0)), 7))
+def test_decomposition_factors_sum_to_the_rational_free_rank(case):
+    """The ranks of a decomposition's factors, each weighted by its
+    multiplicity, add up to the pointed gauge group's rational free rank, and
+    the unpointed one's adds #(j) for pi_j(G)."""
+    group, spec, j = case
+    try:
+        pointed = pointed_gauge_decomposition(group, spec, None)
+    except ValueError:  # no bijective clause for these twists
+        return
+    unpointed = gauge_decomposition(group, spec, (1,) * spec.r)
+    predicted = rational_free_rank(group, spec, j)
+    for expr, extra in ((pointed, 0), (unpointed, rational_degrees(group).count(j))):
+        total = sum(factor_free_rank(f, j) * mult for f, mult in expr.factors)
+        assert total == predicted + extra, (expr, j)
 
 
 # A (6, 5) suspended image with target Z/2 (+) Z/4 and coefficients (1, 1).

@@ -30,7 +30,6 @@ def test_bezout_certificate_random():
 def test_modulus_validation():
     with pytest.raises(ValueError):
         Modulus(-1)
-    assert Modulus(0).is_integers
 
 
 def test_residue_canonical():
@@ -59,16 +58,9 @@ def test_gcd_mod_examples():
     assert gcd_mod(Modulus(0), [6, 4]) == 2
     assert gcd_mod(Modulus(5), [0, 0]) == 5
     assert gcd_mod(Modulus(0), [0, 0]) == 0
-
-
-def test_gcd_mod_accepts_residues():
-    m = Modulus(12)
-    assert gcd_mod(m, [Residue(m, 8), Residue(m, 4)]) == 4
-
-
-def test_gcd_mod_rejects_mixed_moduli():
-    with pytest.raises(ValueError):
-        gcd_mod(Modulus(12), [Residue(Modulus(5), 1)])
+    assert gcd_mod(Modulus(0), [-6, 4]) == 2
+    assert gcd_mod(Modulus(0), [-6]) == 6
+    assert gcd_mod(Modulus(12), [-8]) == 4
 
 
 def test_gcd_mod_permutation_invariant():
