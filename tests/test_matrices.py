@@ -91,10 +91,10 @@ class TestOrbitReduce:
             orbit_reduce(Modulus(12), (6,))
 
     @pytest.mark.parametrize("call", [
-        lambda m, x: orbit_reduce(m, x),
+        orbit_reduce,
+        gcd_mod,
         lambda m, x: orbit_reduce(m, (6, 4)).verify(x),
         lambda m, x: same_orbit(m, x, (6, 4)),
-        lambda m, x: gcd_mod(m, x),
     ])
     def test_residue_inputs_raise_type_error(self, call):
         m = Modulus(12)
