@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from ._record import Record
 from .abelian import AbelianGroup, cardinality, direct_sum
 from .classify import classify_conditions
-from .manifolds import ConnectedSumSpec, _unsuspended_image, cofibre_space, suspension_rank
+from .manifolds import ConnectedSumSpec, _suspended_image, cofibre_space, suspension_rank
 from .tables import (
     SU,
     HomotopyTable,
@@ -213,14 +213,14 @@ def gauge_equivalent(
     (n, q) = (4, 3), where the criterion is an iff; other branches return
     Equivalent on equal levels and Unknown otherwise.  A spec whose
     decomposition the tables refuse raises what ``gauge_decomposition``
-    raises, found by table lookups (and t-bar, if the image orders clash).
+    raises, found by the same lookups and no echelon.
     """
     ks, ks2 = tuple(ks), tuple(ks2)
     _check_length(ks, spec.r)
     _check_length(ks2, spec.r)
     table = _require_decomposable(group, spec, table)
     if any(spec.xi):  # all-zero twists have rank 0 and need no image data
-        _unsuspended_image(spec, table)
+        _suspended_image(spec, table)
     order = table.connecting_order(group, spec.n)
     g1, g2 = math.gcd(order or 0, *ks), math.gcd(order or 0, *ks2)
     if order is None:
@@ -321,14 +321,12 @@ def pointed_gauge_pi(
     a sphere it resolves through the tables; otherwise it stays symbolic.
     Unknown table entries stay symbolic rather than defaulting.  The degree
     0 rule reads xi in the given basis, so it is not GL_r(Z)-invariant (see
-    _remark_shape).  A table the decomposition refuses is refused here too.
+    _remark_shape).  A spec the decomposition refuses is refused here too.
     """
     if j < 0:
         raise ValueError("homotopy degree must be non-negative")
     table = _require_decomposable(group, spec, table)
     tbar = suspension_rank(spec, table)
-    if tbar:
-        _unsuspended_image(spec, table, tbar)
     known: list[AbelianGroup] = []
     symbolic: list[str] = []
 

@@ -87,24 +87,6 @@ def suspension_rank(
     return 1 if reduced.entries[0] else 0
 
 
-def _unsuspended_image(spec: ConnectedSumSpec, table: HomotopyTable, tbar: int | None = None):
-    """The unsuspended image c' for nonzero twists, or None when the tables lack it.
-
-    A missing suspended image c raises MissingTableError.  As c = Sigma c',
-    ord(c) divides ord(c'), and a table that breaks this raises ValueError
-    when t-bar = 1; a t-bar not given is computed only for such a table.
-    """
-    o_c = _suspended_image(spec, table)._order[1]
-    image = table.attaching_image(spec.n, spec.q)
-    # Order 0 is infinite, and every order divides it; a missing c' checks nothing.
-    o = 0 if image is None else image._order[1]
-    if (o % o_c if o_c else o) and (suspension_rank(spec, table) if tbar is None else tbar):
-        raise ValueError(f"(n, q)=({spec.n}, {spec.q}): the suspended image has order "
-                         f"{o_c or 'infinite'}, which does not divide the order "
-                         f"{o or 'infinite'} of the unsuspended image")
-    return image
-
-
 class CofibreDescriptor(Record):
     """The cofibre of a map from S^{n+q-1} into a wedge of q-spheres.
 
@@ -135,8 +117,8 @@ def cofibre_space(
 
     The attaching element is d' c' for the unsuspended image c', where d'
     is the echelon head of the twist column over c''s order; for (4, 3)
-    with gcd(12, xi) = 1 this is a single unit of Z/12.  As c = Sigma c',
-    a table whose ord(c) does not divide ord(c') raises ValueError.
+    with gcd(12, xi) = 1 this is a single unit of Z/12.  The table was
+    checked when built, so ord(c) divides ord(c') and d' c' is nonzero.
     """
     table = _require_table(table)
     tbar = suspension_rank(spec, table)
@@ -144,7 +126,7 @@ def cofibre_space(
     if tbar == 0:
         # Empty wedge: the cofibre is the sphere S^{n+q} outright.
         return CofibreDescriptor(0, spec.q, cell_dim, (), True)
-    image = _unsuspended_image(spec, table, tbar)
+    image = table.attaching_image(spec.n, spec.q)
     if image is None:
         return CofibreDescriptor(tbar, spec.q, cell_dim, (), False)
     _, reduced = row_echelon_mixed(_twist_column(spec, image))

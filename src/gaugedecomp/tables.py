@@ -3,8 +3,8 @@
 This module is the only source of topological constants in the package.
 Every shipped value carries a citation, lookups of absent keys return
 ``None`` instead of a default, and user table files are merged over the
-built-in core so values can be extended or overridden without code
-changes.  Spaces, entries, images and tables are immutable.
+built-in core.  A table is checked once, when it is built, and queries
+trust it.  Spaces, entries, images and tables are immutable.
 """
 
 from __future__ import annotations
@@ -174,6 +174,15 @@ class HomotopyTable:
 
     def __init__(self, sections: dict[str, dict] | None = None):
         self._sections = {name: dict((sections or {}).get(name, ())) for name in _SECTIONS}
+        unsuspended = self._sections["attaching_images"]
+        for key, image in self._sections["suspended_attaching_images"].items():
+            # As c = Sigma c', ord(c) divides ord(c').  Order 0 is infinite, and every
+            # order divides it; a missing c' checks nothing.
+            o_c, o = image._order[1], unsuspended[key]._order[1] if key in unsuspended else 0
+            if o % o_c if o_c else o:
+                raise ValueError(f"(n, q)={key}: the suspended image has order "
+                                 f"{o_c or 'infinite'}, which does not divide the order "
+                                 f"{o or 'infinite'} of the unsuspended image")
 
     def entries(self) -> list[TableEntry]:
         return sorted(self._sections["entries"].values(), key=lambda e: (str(e.space), e.degree))
@@ -222,7 +231,10 @@ def _entry(item: dict, where: str):
     space = space_from_dict(read_field(item, "space", dict, where), f"{where}.space")
     degree = read_field(item, "degree", int, where)
     citation = read_field(item, "citation", str, where)
-    return (space, degree), TableEntry(space, degree, _group(item, "group", where), citation)
+    group = _group(item, "group", where)
+    if degree == 6 and group.free_rank and isinstance(space, LieGroup):  # pi_even(G) (x) Q = 0
+        raise ValueError(f"{where}.group: pi_6({space}) of a Lie group is finite, got {group}")
+    return (space, degree), TableEntry(space, degree, group, citation)
 
 
 def _connecting_order(item: dict, where: str):
@@ -291,10 +303,11 @@ def default_table() -> HomotopyTable:
 
 
 def load_tables(paths: Sequence[str | os.PathLike] = ()) -> HomotopyTable:
-    """Merge table files over the core; later paths take precedence."""
+    """Merge table files over the core; later paths take precedence.  A file
+    whose images clash with those beneath it is a ValueError naming it."""
     table = default_table()
     for path in paths:
-        table = load_table_file(path).merged_over(table)
+        table = _named(f"table file {path}", load_table_file(path).merged_over, table)
     return table
 
 
@@ -317,10 +330,7 @@ def pi6_order(space: SpaceId, table: HomotopyTable | None = None) -> int:
     g = canonical_space(space)
     got = _require_table(table).lookup_pi(g, 6)
     if got is not None:
-        size = cardinality(got)
-        if size == 0:
-            raise ValueError(f"table claims infinite pi_6({g}); it must be finite")
-        return size
+        return cardinality(got)
     if g in _PI6_NONTRIVIAL:
         raise MissingTableError(f"pi_6({g})")
     return 1

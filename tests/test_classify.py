@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 
 from gaugedecomp import classify
+from gaugedecomp.cli import main
 from gaugedecomp.tables import pi6_order
 from gaugedecomp import (
     DIM7_PI6_COPRIME,
@@ -171,3 +173,20 @@ class TestWedgeFormula:
         assert formula.terms[1][1] == 2  # rank 0: both copies survive
         formula = stable_wedge_formula(SU(4), ConnectedSumSpec(4, 3, (1, 0)))
         assert formula.terms[1][1] == 1  # rank 1 removes one copy
+
+    def test_a_table_whose_images_clash_is_refused_before_the_formula(self, tmp_path, capsys):
+        # At (6, 4), c = 1 in Z/4 is no suspension of c' = 1 in Z/2.  The
+        # formula would read r - t-bar off that c; the table is refused when
+        # loaded instead, as by every other command.
+        path = tmp_path / "t.json"
+        image = {"n": 6, "q": 4, "coeffs": [1], "citation": "t"}
+        path.write_text(json.dumps({
+            "attaching_images": [{**image, "target": {"torsion": [2]}}],
+            "suspended_attaching_images": [{**image, "target": {"torsion": [4]}}],
+        }))
+        spec = '{"n":6,"q":4,"xi":[2,4]}'
+        code = main(["classify", "--group", "SU5", "--spec", spec, "--tables", str(path)])
+        assert (code, *capsys.readouterr()) == (1, "", (
+            f"domain error: table file {path}: (n, q)=(6, 4): the suspended image has order 4, "
+            "which does not divide the order 2 of the unsuspended image\n"
+        ))

@@ -509,9 +509,12 @@ class TestTableFileFaults:
         (_table("entries", space={"lie": {"family": "XX", "rank": 2}}),
          "entries[0].space.lie: unknown Lie family 'XX'"),
         (_table("entries", group={"free": -1}), "entries[0].group: free rank must be non-negative"),
+        (_table("entries", space={"lie": {"family": "G2", "rank": 2}}, group={"free": 1}),
+         "entries[0].group: pi_6(G2) of a Lie group is finite, got Z"),
     ], ids=["list-of-int", "string", "number", "section-not-array", "rank-list", "torsion-int",
             "degree-float", "order-string", "coeff-float", "n-bool", "citation-int",
-            "citation-missing", "sphere-zero", "coeff-count", "lie-family", "free-negative"])
+            "citation-missing", "sphere-zero", "coeff-count", "lie-family", "free-negative",
+            "pi6-free"])
     def test_wrong_content_is_domain_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "t.json"
         path.write_text(text)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -33,7 +34,8 @@ from gaugedecomp import (
     suspension_splitting,
     wedge_gauge_decomposition,
 )
-from gaugedecomp.tables import table_from_data
+from gaugedecomp.cli import main
+from gaugedecomp.tables import load_table_file, table_from_data
 
 SPEC = ConnectedSumSpec(4, 3, (1, 0))
 
@@ -320,33 +322,61 @@ class TestPointedPi:
 
 
 class TestImagesThatAreNoSuspension:
-    """A table whose suspended image c, of order 4, cannot be the suspension
-    of its unsuspended image c', of order 2."""
+    """A table whose suspended image c cannot be the suspension of its
+    unsuspended image c' is refused when it is loaded, so every command
+    refuses it with one message naming the file once, whatever the twists."""
 
-    TABLE = load_tables([Path(__file__).parent / "data" / "table_bad_suspension.json"])
+    BAD = Path(__file__).parent / "data" / "table_bad_suspension.json"
     QUERIES = (
-        lambda spec, table: gauge_decomposition(SU(6), spec, (1, 1), table),
-        lambda spec, table: pointed_gauge_decomposition(SU(6), spec, None, table),
-        lambda spec, table: pointed_gauge_pi(SU(6), spec, 0, table),
-        lambda spec, table: gauge_equivalent(SU(6), spec, (1, 1), (1, 2), table),
+        ["classify", "--group", "SU6"],
+        ["decompose", "--group", "SU6", "--k", "1,1"],
+        ["decompose", "--group", "SU6", "--pointed"],
+        ["pi", "--group", "SU6", "--j", "0"],
+        ["equivalent", "--group", "SU6", "--k", "1,1", "--k2", "1,2"],
+        ["splitting"],
     )
+    REFUSED = {(1, "", f"domain error: table file {BAD}: (n, q)=(6, 5): the suspended image "
+                        "has order 4, which does not divide the order 2 of the unsuspended image\n")}
 
-    def test_every_query_refuses_a_hit_twist_with_one_message(self):
-        spec = ConnectedSumSpec(6, 5, (2, 4))  # t-bar = 1
-        messages = set()
-        for query in self.QUERIES:
-            with pytest.raises(ValueError) as refused:
-                query(spec, self.TABLE)
-            messages.add(str(refused.value))
-        assert messages == {
-            "(n, q)=(6, 5): the suspended image has order 4, which does not divide "
-            "the order 2 of the unsuspended image"
-        }
+    def outcomes(self, capsys, xi):
+        spec = ["--spec", json.dumps({"n": 6, "q": 5, "xi": xi})]
+        got = set()
+        for argv in [*(query + spec for query in self.QUERIES), ["tables"]]:
+            code = main(argv + ["--tables", str(self.BAD)])
+            got.add((code, *capsys.readouterr()))
+        return got
 
-    def test_every_query_answers_twists_that_miss_c(self):
-        spec = ConnectedSumSpec(6, 5, (4, 8))  # t-bar = 0
-        for query in self.QUERIES:
-            query(spec, self.TABLE)
+    def test_every_query_refuses_a_hit_twist_with_one_message(self, capsys):
+        assert self.outcomes(capsys, [2, 4]) == self.REFUSED  # t-bar = 1
+
+    def test_every_query_refuses_twists_that_miss_c(self, capsys):
+        assert self.outcomes(capsys, [4, 8]) == self.REFUSED  # t-bar = 0
+
+    def test_a_clash_made_by_the_merge_names_the_file_once(self, tmp_path):
+        # The file alone is consistent: it declares only c, of order 24 at
+        # (4, 3), over the core table's c' of order 12.
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"suspended_attaching_images": [
+            {"n": 4, "q": 3, "target": {"torsion": [24]}, "coeffs": [1], "citation": "t"}
+        ]}))
+        assert load_table_file(path).suspended_image(4, 3)._order[1] == 24
+        with pytest.raises(ValueError) as refused:
+            load_tables([path])
+        assert str(refused.value) == (
+            f"table file {path}: (n, q)=(4, 3): the suspended image has order 24, "
+            "which does not divide the order 12 of the unsuspended image"
+        )
+
+
+@pytest.mark.parametrize("query", [
+    lambda: pointed_gauge_pi(SU(2), SPEC, 1),
+    lambda: gauge_equivalent(SU(2), SPEC, (1, 1), (2, 2)),
+], ids=["pi", "equivalent"])
+def test_pi_and_equivalent_read_the_suspended_image_once(image_reads, query):
+    # t-bar = 1 at SPEC, and the table was checked when built, so neither
+    # query reads the unsuspended image.
+    query()
+    assert image_reads == {"suspended_image": 1, "attaching_image": 0}
 
 
 def test_equivalent_runs_no_echelon_and_pi_one_on_the_core_table(monkeypatch):

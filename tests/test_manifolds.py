@@ -161,19 +161,16 @@ class TestCofibre:
         assert (desc.sphere_count, desc.attaching, desc.resolved) == (1, (), False)
 
     def test_suspended_order_must_divide_unsuspended_order(self):
-        # c = 1 in Z/4 cannot be the suspension of c' = 1 in Z/2: once the
-        # twists hit c, the cofibre refuses the table, naming (n, q) and
-        # both orders, instead of attaching the sphere by 0 in Z/2.
-        table = load_tables([DATA / "table_bad_suspension.json"])
-        spec = ConnectedSumSpec(6, 5, (2, 4))
-        assert suspension_rank(spec, table) == 1
-        message = r"^\(n, q\)=\(6, 5\): the suspended image has order 4, which does not divide the order 2 "
-        with pytest.raises(ValueError, match=message):
-            cofibre_space(spec, table)
-        with pytest.raises(ValueError, match=message):
-            suspension_splitting(spec, table)
-        # Where the twists miss c there is no cell to attach and nothing to check.
-        assert cofibre_space(ConnectedSumSpec(6, 5, (4, 8)), table).is_sphere
+        # c = 1 in Z/4 cannot be the suspension of c' = 1 in Z/2, so the
+        # table is refused when it is loaded, naming the file once, (n, q)
+        # and both orders, before any query could attach a sphere by 0 in Z/2.
+        path = DATA / "table_bad_suspension.json"
+        with pytest.raises(ValueError) as refused:
+            load_tables([path])
+        assert str(refused.value) == (
+            f"table file {path}: (n, q)=(6, 5): the suspended image has order 4, "
+            "which does not divide the order 2 of the unsuspended image"
+        )
 
     @pytest.mark.parametrize("unsuspended, suspended, ok", [
         ({"torsion": [2]}, {"free": 1}, False),  # infinite does not divide 2
@@ -187,16 +184,19 @@ class TestCofibre:
             coeffs = [1] * (target.get("free", 0) + len(target.get("torsion", [])))
             return {"n": 6, "q": 5, "target": target, "coeffs": coeffs, "citation": "test"}
 
-        table = table_from_data({
+        data = {
             "attaching_images": [image(unsuspended)],
             "suspended_attaching_images": [image(suspended)],
-        })
-        spec = ConnectedSumSpec(6, 5, (1, 2))
+        }
         if ok:
-            assert cofibre_space(spec, table).resolved
+            assert cofibre_space(ConnectedSumSpec(6, 5, (1, 2)), table_from_data(data)).resolved
         else:
             with pytest.raises(ValueError, match="order infinite, which does not divide the order 2 "):
-                cofibre_space(spec, table)
+                table_from_data(data)
+
+    def test_reads_each_image_once(self, image_reads):
+        cofibre_space(ConnectedSumSpec(4, 3, (1, 0)))
+        assert image_reads == {"suspended_image": 1, "attaching_image": 1}
 
 
 class TestSplitting:
