@@ -7,11 +7,10 @@ factors in the same order, so structural equality of expressions is the
 notion of "same decomposition" used throughout; all results are immutable
 values.
 
-Equivalence verdicts never claim more than is proved: the only branch
-with a complete iff criterion is SU(2) over seven-dimensional sums with
-coprime twists, where gauge groups are equivalent exactly when the K-gcds
-with 12 agree.  Elsewhere equal levels give Equivalent (the decomposition
-depends on K only through its level) and unequal levels give Unknown.
+Equivalence verdicts never claim more than is proved.  The decomposition
+depends on K only through its level, so equal levels give Equivalent.
+Unequal levels give NotEquivalent only where a ``sphere_gauge_invariants``
+table row tells the two sphere-gauge factors apart, and Unknown elsewhere.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from ._record import Record
 from .abelian import AbelianGroup, cardinality, direct_sum
 from .classify import classify_conditions
 from .manifolds import ConnectedSumSpec, _suspended_image, cofibre_space, suspension_rank
-from .tables import (
-    SU,
-    HomotopyTable,
-    LieGroup,
-    SpaceId,
-    _require_table,
-    canonical_space,
-)
+from .tables import HomotopyTable, LieGroup, SpaceId, _require_table
 
 
 class SphereGauge(Record):
@@ -209,11 +201,14 @@ def gauge_equivalent(
 ) -> EquivalenceVerdict:
     """Decide whether two classifying tuples give equivalent gauge groups.
 
-    NotEquivalent is only ever emitted on the SU(2) branch over
-    (n, q) = (4, 3), where the criterion is an iff; other branches return
-    Equivalent on equal levels and Unknown otherwise.  A spec whose
-    decomposition the tables refuse raises what ``gauge_decomposition``
-    raises, found by the same lookups and no echelon.
+    The level is gcd(o, K) for the connecting-map order o, with o = 0 when
+    the tables lack it; as gcd(o, K) = gcd(o, gcd K), equal levels give
+    Equivalent for every o.  Unequal levels give NotEquivalent when the
+    tables' row pi_j(G^k(S^n)) = Z/gcd(m, k) differs at K and K' (the other
+    factors agree, and finitely generated abelian groups cancel), and
+    Unknown otherwise.  A spec whose decomposition the tables refuse raises
+    what ``gauge_decomposition`` raises, found by the same lookups and no
+    echelon.
     """
     ks, ks2 = tuple(ks), tuple(ks2)
     _check_length(ks, spec.r)
@@ -221,45 +216,32 @@ def gauge_equivalent(
     table = _require_decomposable(group, spec, table)
     if any(spec.xi):  # all-zero twists have rank 0 and need no image data
         _suspended_image(spec, table)
-    order = table.connecting_order(group, spec.n)
+    n, order = spec.n, table.connecting_order(group, spec.n)
     g1, g2 = math.gcd(order or 0, *ks), math.gcd(order or 0, *ks2)
-    if order is None:
-        if g1 == g2:
-            return EquivalenceVerdict(
-                "Equivalent",
-                f"gcd(K) = gcd(K') = {g1}, so the levels agree for every value of "
-                f"the (unknown) connecting-map order",
-            )
-        return EquivalenceVerdict(
-            "Unknown",
-            f"the connecting-map order for {group} over S^{spec.n} is not in the "
-            f"tables and gcd(K) = {g1} != {g2} = gcd(K')",
-        )
-    if (spec.n, spec.q) == (4, 3) and canonical_space(group) == SU(2):
-        if g1 == g2:
-            citation = table.connecting_citation(group, 4)
-            return EquivalenceVerdict(
-                "Equivalent",
-                f"gcd({order}, K) = gcd({order}, K') = {g1}; the connecting map "
-                f"over S^4 for SU(2) has order {order} ({citation}) and the "
-                f"decomposition depends on K only through this gcd",
-            )
-        return EquivalenceVerdict(
-            "NotEquivalent",
-            f"gcd({order}, K) = {g1} != {g2} = gcd({order}, K'); the pi_2 of the "
-            f"sphere-gauge factor has order equal to that gcd, so the gauge "
-            f"groups have non-isomorphic pi_2",
-        )
+    o = f"{order}, " if order else ""
+    facts = f"the connecting map over S^{n} for {group} has " + (
+        f"order {order} ({table.connecting_citation(group, n)})" if order
+        else "an order not in the tables"
+    )
     if g1 == g2:
         return EquivalenceVerdict(
             "Equivalent",
-            f"l(K) = l(K') = {g1}; the decomposition depends on K only "
-            f"through l(K)",
+            f"gcd({o}K) = gcd({o}K') = {g1}; {facts} and the decomposition "
+            f"depends on K only through this gcd",
+        )
+    levels = f"gcd({o}K) = {g1} != {g2} = gcd({o}K'); {facts}"
+    j, m, citation = table.sphere_gauge_invariant(group, n) or (0, 1, "")  # no row: m = 1
+    h1, h2 = math.gcd(m, *ks), math.gcd(m, *ks2)
+    if h1 != h2:
+        return EquivalenceVerdict(
+            "NotEquivalent",
+            f"{levels}; pi_{j}(G^k(S^{n})) = Z/gcd({m}, k) ({citation}) is Z/{h1} at K "
+            f"and Z/{h2} at K', so the gauge groups have non-isomorphic pi_{j}",
         )
     return EquivalenceVerdict(
         "Unknown",
-        f"l(K) = {g1} and l(K') = {g2} differ; no inequivalence criterion "
-        f"is available for {group} over S^{spec.n}",
+        f"{levels}; no table row of a homotopy group of G^k(S^{n}) for {group} "
+        f"tells the two levels apart",
     )
 
 

@@ -1,4 +1,4 @@
-"""Data-driven tables of homotopy groups and connecting-map orders.
+"""Data-driven tables of homotopy groups, connecting-map orders and gauge invariants.
 
 This module is the only source of topological constants in the package.
 Every shipped value carries a citation, lookups of absent keys return
@@ -20,6 +20,7 @@ from .abelian import AbelianGroup, cardinality
 from .residues import Modulus
 
 LIE_FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
+MAX_ORDERS, MAX_ORDER_BITS = 64, 4096  # per torsion list; invariant factors cost O(orders^2)
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 
 
@@ -174,6 +175,11 @@ class HomotopyTable:
 
     def __init__(self, sections: dict[str, dict] | None = None):
         self._sections = {name: dict((sections or {}).get(name, ())) for name in _SECTIONS}
+        orders = self._sections["connecting_orders"]
+        for (space, n), (j, m, _) in self._sections["sphere_gauge_invariants"].items():
+            if orders.get((space, n), (0,))[0] % m:  # gcd(m, k) must depend on gcd(o, k) alone
+                raise ValueError(f"{space} over S^{n}: pi_{j} = Z/gcd({m}, k) needs {m} to divide "
+                                 f"the connecting-map order {orders[space, n][0]}")
         unsuspended = self._sections["attaching_images"]
         for key, image in self._sections["suspended_attaching_images"].items():
             # As c = Sigma c', ord(c) divides ord(c').  Order 0 is infinite, and every
@@ -204,6 +210,10 @@ class HomotopyTable:
         got = self._sections["connecting_orders"].get((canonical_space(space), n))
         return got[1] if got is not None else None
 
+    def sphere_gauge_invariant(self, space: SpaceId, n: int) -> tuple[int, int, str] | None:
+        """(j, m, citation) of a row pi_j(G^k(S^n)) = Z/gcd(m, k), if declared."""
+        return self._sections["sphere_gauge_invariants"].get((canonical_space(space), n))
+
     def attaching_image(self, n: int, q: int) -> GeneratorImage | None:
         """Twist-generator image in pi_{n+q-1}(S^q), if declared."""
         return self._sections["attaching_images"].get((n, q))
@@ -224,6 +234,9 @@ def _group(item: dict, key: str, where: str) -> AbelianGroup:
     data = read_field(item, key, dict, where)
     where += f".{key}"
     free, torsion = read_field(data, "free", int, where, 0), read_ints(data, "torsion", where, ())
+    if len(torsion) > MAX_ORDERS or sum(map(int.bit_length, torsion)) > MAX_ORDER_BITS:
+        raise ValueError(f"{where}.torsion must have at most {MAX_ORDERS} orders, "
+                         f"of at most {MAX_ORDER_BITS} bits in all")
     return _named(where, AbelianGroup.from_orders, free, torsion)
 
 
@@ -232,17 +245,18 @@ def _entry(item: dict, where: str):
     degree = read_field(item, "degree", int, where)
     citation = read_field(item, "citation", str, where)
     group = _group(item, "group", where)
-    if degree == 6 and group.free_rank and isinstance(space, LieGroup):  # pi_even(G) (x) Q = 0
-        raise ValueError(f"{where}.group: pi_6({space}) of a Lie group is finite, got {group}")
-    return (space, degree), TableEntry(space, degree, group, citation)
+    if degree % 2 == 0 and group.free_rank and isinstance(space, LieGroup):  # pi_even(G) (x) Q = 0
+        raise ValueError(f"{where}.group: pi_{degree}({space}) of a Lie group is finite, got {group}")
+    return (canonical_space(space), degree), TableEntry(space, degree, group, citation)
 
 
-def _connecting_order(item: dict, where: str):
+def _over_sphere(item: dict, where: str, *names: str):
+    """Key (G, n); value the integer fields ``names``, the last positive, and the citation."""
     space = space_from_dict({"lie": read_field(item, "lie", dict, where)}, where)
-    n, order = read_field(item, "n", int, where), read_field(item, "order", int, where)
-    if order < 1:  # a connecting map always has finite order
-        raise ValueError(f"{where}.order must be a positive integer, got {order}")
-    return (space, n), (order, read_field(item, "citation", str, where))
+    n, *values = (read_field(item, name, int, where) for name in ("n", *names))
+    if values[-1] < 1:  # a connecting map's order, or m of Z/gcd(m, k), is finite
+        raise ValueError(f"{where}.{names[-1]} must be a positive integer, got {values[-1]}")
+    return (canonical_space(space), n), (*values, read_field(item, "citation", str, where))
 
 
 def _image(item: dict, where: str):
@@ -255,7 +269,8 @@ def _image(item: dict, where: str):
 # The table-file format: each section and the parser of one item to (key, value).
 _SECTIONS = {
     "entries": _entry,
-    "connecting_orders": _connecting_order,
+    "connecting_orders": lambda item, where: _over_sphere(item, where, "order"),
+    "sphere_gauge_invariants": lambda item, where: _over_sphere(item, where, "j", "m"),
     "attaching_images": _image,
     "suspended_attaching_images": _image,
 }

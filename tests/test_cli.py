@@ -468,8 +468,8 @@ class TestUserTableGroupData:
         assert bad in err
 
 
-def _table(section, **fields):
-    """A one-item table file whose item has ``fields`` changed."""
+def _item(section, **fields):
+    """A valid item of ``section`` with ``fields`` changed; a field set to None is left out."""
     items = {
         "entries": {"space": {"sphere": 3}, "degree": 6,
                     "group": {"free": 0, "torsion": [12]}, "citation": "c"},
@@ -477,8 +477,15 @@ def _table(section, **fields):
                               "citation": "c"},
         "attaching_images": {"n": 4, "q": 3, "target": {"free": 0, "torsion": [12]},
                              "coeffs": [1], "citation": "c"},
+        "sphere_gauge_invariants": {"lie": {"family": "SU", "rank": 3}, "n": 4, "j": 2,
+                                    "m": 6, "citation": "c"},
     }
-    return json.dumps({section: [{**items[section], **fields}]})
+    return {key: value for key, value in {**items[section], **fields}.items() if value is not None}
+
+
+def _table(section, **fields):
+    """A one-item table file whose item has ``fields`` changed."""
+    return json.dumps({section: [_item(section, **fields)]})
 
 
 class TestTableFileFaults:
@@ -511,10 +518,25 @@ class TestTableFileFaults:
         (_table("entries", group={"free": -1}), "entries[0].group: free rank must be non-negative"),
         (_table("entries", space={"lie": {"family": "G2", "rank": 2}}, group={"free": 1}),
          "entries[0].group: pi_6(G2) of a Lie group is finite, got Z"),
+        # pi_even(G) (x) Q = 0 in every even degree, not only 6.
+        (_table("entries", space={"lie": {"family": "SU", "rank": 2}}, degree=8,
+                group={"free": 1, "torsion": [2]}),
+         "entries[0].group: pi_8(SU(2)) of a Lie group is finite, got Z (+) Z/2"),
+        (_table("entries", space={"lie": {"family": "G2", "rank": 2}}, degree=4, group={"free": 1}),
+         "entries[0].group: pi_4(G2) of a Lie group is finite, got Z"),
+        (_table("sphere_gauge_invariants", m=None),
+         "sphere_gauge_invariants[0] is missing the field 'm'"),
+        (_table("sphere_gauge_invariants", m=0),
+         "sphere_gauge_invariants[0].m must be a positive integer, got 0"),
+        (_table("sphere_gauge_invariants", j="2"),
+         "sphere_gauge_invariants[0].j must be an integer, got '2'"),
+        (json.dumps({"sphere_gauge_invariants": [_item("sphere_gauge_invariants")] * 2}),
+         "sphere_gauge_invariants[1] repeats the key of an earlier item"),
     ], ids=["list-of-int", "string", "number", "section-not-array", "rank-list", "torsion-int",
             "degree-float", "order-string", "coeff-float", "n-bool", "citation-int",
             "citation-missing", "sphere-zero", "coeff-count", "lie-family", "free-negative",
-            "pi6-free"])
+            "pi6-free", "pi8-free", "pi4-free", "invariant-m-missing", "invariant-m-zero",
+            "invariant-j-string", "invariant-repeated"])
     def test_wrong_content_is_domain_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "t.json"
         path.write_text(text)

@@ -258,6 +258,37 @@ class TestEquivalent:
         assert gauge_equivalent(Sp(1), spec, (2, 6), (3, 9)).verdict \
             == "NotEquivalent"
 
+    def test_not_equivalent_comes_from_the_table_row(self):
+        # The core's own data without its sphere_gauge_invariants row: the
+        # levels still differ, but no fact tells the gauge groups apart.
+        data = json.loads((Path(manifolds.__file__).parent / "data" / "core_tables.json").read_text())
+        del data["sphere_gauge_invariants"]
+        bare = table_from_data(data)
+        assert gauge_equivalent(SU(2), SPEC, (2, 6), (3, 9)).verdict == "NotEquivalent"
+        assert gauge_equivalent(SU(2), SPEC, (2, 6), (3, 9), bare).verdict == "Unknown"
+        assert gauge_equivalent(SU(2), SPEC, (5, 7), (1, 0), bare) \
+            == gauge_equivalent(SU(2), SPEC, (5, 7), (1, 0))
+
+    def test_a_user_row_decides_for_its_group(self):
+        su3 = {"family": "SU", "rank": 3}
+        table = table_from_data({
+            "connecting_orders": [{"lie": su3, "n": 4, "order": 24,
+                                   "citation": "Hamanaka-Kono (2006)"}],
+            "sphere_gauge_invariants": [{"lie": su3, "n": 4, "j": 2, "m": 6,
+                                         "citation": "user row"}],
+        }).merged_over(default_table())
+        # gcd(6, K) = 2 and gcd(6, K') = 3.
+        out = gauge_equivalent(SU(3), SPEC, (2, 4), (3, 9), table)
+        assert out.verdict == "NotEquivalent"
+        assert "pi_2(G^k(S^4)) = Z/gcd(6, k) (user row) is Z/2 at K and Z/3 at K'" in out.reason
+        # gcd(24, K) = 2 and gcd(24, K') = 8 differ, but gcd(6, .) = 2 for both.
+        out = gauge_equivalent(SU(3), SPEC, (2, 4), (8, 16), table)
+        assert out.verdict == "Unknown"
+        assert "gcd(24, K) = 2 != 8 = gcd(24, K')" in out.reason
+        assert "has order 24 (Hamanaka-Kono (2006))" in out.reason
+        # Without the user file, SU(3) has neither the order nor the row.
+        assert gauge_equivalent(SU(3), SPEC, (2, 4), (3, 9)).verdict == "Unknown"
+
     def test_matches_orbit_invariant(self):
         rng = random.Random(62)
         for _ in range(500):

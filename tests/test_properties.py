@@ -413,12 +413,19 @@ def test_suspension_rank_matches_the_rank_oracle(image, xi):
     assert suspension_rank(ConnectedSumSpec(6, 5, tuple(xi)), table) == expected
 
 
-# The core table alone, and the core with a connecting order for G2 over
-# S^4, so that both the known-order and the unknown-order levels are met.
+# The core table alone, the core with a connecting order for G2 over S^4,
+# so that both the known-order and the unknown-order levels are met, and
+# the core with an order and a sphere_gauge_invariants row for SU(3) over
+# S^4 whose modulus 6 is a proper divisor of that order.
 DATA = Path(__file__).parent / "data"
+SU3 = {"family": "SU", "rank": 3}
 TABLES = (
     default_table(),
     load_tables([DATA / "cli_orders.json"]),
+    table_from_data({
+        "connecting_orders": [{"lie": SU3, "n": 4, "order": 24, "citation": "t"}],
+        "sphere_gauge_invariants": [{"lie": SU3, "n": 4, "j": 2, "m": 6, "citation": "t"}],
+    }).merged_over(default_table()),
 )
 GROUPS = (SU(2), SU(3), SU(4), Sp(2), G2, E8, SU(5), SU(6))
 
@@ -436,6 +443,9 @@ def equivalence_inputs(draw):
 # Refused alike: neither table has (6, 5) images for the nonzero twists.
 @example((ConnectedSumSpec(6, 5, (2, 4)), (1, 1), (1, 2)))
 @example((ConnectedSumSpec(6, 5, (4, 8)), (1, 1), (1, 2)))
+# SU(3)'s row tells these levels apart, and not the next two.
+@example((ConnectedSumSpec(4, 3, (1, 0)), (2, 4), (3, 9)))
+@example((ConnectedSumSpec(4, 3, (1, 0)), (2, 4), (8, 16)))
 def test_equivalent_exactly_when_decompositions_agree(case):
     spec, ks, ks2 = case
     for table in TABLES:
@@ -454,6 +464,10 @@ def test_equivalent_exactly_when_decompositions_agree(case):
                 continue
             verdict = gauge_equivalent(group, spec, ks, ks2, table).verdict
             assert (verdict == "Equivalent") == same, (group, verdict)
+            # NotEquivalent only where a table row's pi_j differs at K and K'.
+            if verdict == "NotEquivalent":
+                _, m, _ = table.sphere_gauge_invariant(group, spec.n)
+                assert math.gcd(m, *ks) != math.gcd(m, *ks2)
 
 
 # Every query is invariant under E_Mat(Y^r) = GL_r(Z), acting on the twists

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -29,7 +30,14 @@ from gaugedecomp import (
     pi6_order,
     stable_condition,
 )
-from gaugedecomp.tables import GeneratorImage, space_from_dict, space_to_dict, table_from_data
+from gaugedecomp.tables import (
+    MAX_ORDER_BITS,
+    MAX_ORDERS,
+    GeneratorImage,
+    space_from_dict,
+    space_to_dict,
+    table_from_data,
+)
 from oracles import rational_degrees
 
 CORE = default_table()
@@ -325,3 +333,85 @@ def test_every_core_entry_has_the_rational_free_rank():
     assert {type(e.space) for e in entries} == {Sphere, LieGroup}
     for e in entries:
         assert e.group.free_rank == rational_degrees(e.space).count(e.degree), (str(e.space), e.degree)
+
+
+KONO = "Kono (1991), A note on the homotopy type of certain gauge groups"
+
+
+def test_core_states_pi2_of_the_su2_gauge_groups_over_s4():
+    for group in (SU(2), Sp(1), Spin(3)):
+        assert CORE.sphere_gauge_invariant(group, 4) == (2, 12, KONO)
+    assert CORE.sphere_gauge_invariant(SU(3), 4) is None
+    assert CORE.sphere_gauge_invariant(SU(2), 6) is None
+
+
+def test_an_item_keyed_by_an_alias_is_found_under_every_name():
+    # Sp(1) is SU(2): what a file declares for one is read for the other.
+    sp1 = {"family": "Sp", "rank": 1}
+    table = table_from_data({
+        "entries": [{"space": {"lie": sp1}, "degree": 9, "group": {"torsion": [3]},
+                     "citation": "t"}],
+        "connecting_orders": [{"lie": sp1, "n": 8, "order": 10, "citation": "t"}],
+        "sphere_gauge_invariants": [{"lie": sp1, "n": 8, "j": 1, "m": 5, "citation": "t"}],
+    })
+    for group in (SU(2), Sp(1)):
+        assert table.lookup_pi(group, 9) == cyclic(3)
+        assert table.connecting_order(group, 8) == 10
+        assert table.sphere_gauge_invariant(group, 8) == (1, 5, "t")
+
+
+def test_a_repeated_group_under_another_name_is_a_repeated_key():
+    items = [{"lie": {"family": family, "rank": rank}, "n": 4, "j": 2, "m": 12, "citation": "t"}
+             for family, rank in (("SU", 2), ("Spin", 3))]
+    with pytest.raises(ValueError, match=r"^sphere_gauge_invariants\[1\] repeats the key"):
+        table_from_data({"sphere_gauge_invariants": items})
+
+
+@pytest.mark.parametrize("order, refused", [(6, True), (24, False), (12, False)])
+def test_an_invariant_modulus_must_divide_the_connecting_order(order, refused):
+    # gcd(m, k) is a homotopy invariant of G^k, which depends on k only
+    # through gcd(o, k); so m divides o, whichever file holds which.
+    user = {"connecting_orders": [
+        {"lie": {"family": "SU", "rank": 2}, "n": 4, "order": order, "citation": "t"}
+    ]}
+    if refused:
+        message = "SU(2) over S^4: pi_2 = Z/gcd(12, k) needs 12 to divide the connecting-map order 6"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table_from_data(user).merged_over(CORE)
+    else:
+        assert table_from_data(user).merged_over(CORE).connecting_order(SU(2), 4) == order
+    # Without an order the row stands alone.
+    row = {"sphere_gauge_invariants": [
+        {"lie": {"family": "SU", "rank": 3}, "n": 4, "j": 3, "m": order, "citation": "t"}
+    ]}
+    assert table_from_data(row).sphere_gauge_invariant(SU(3), 4) == (3, order, "t")
+
+
+def torsion_item(orders):
+    return {"entries": [{"space": {"sphere": 3}, "degree": 40, "group": {"torsion": orders},
+                         "citation": "t"}]}
+
+
+@pytest.mark.parametrize("orders", [
+    [3] * MAX_ORDERS,
+    [(1 << 63) + 1] * MAX_ORDERS,  # 64 orders of 64 bits: MAX_ORDER_BITS in all
+    [1 << (MAX_ORDER_BITS - 1)],
+], ids=["count", "bits-many", "bits-one"])
+def test_a_torsion_list_at_the_caps_is_read(orders):
+    assert table_from_data(torsion_item(orders)).lookup_pi(Sphere(3), 40) is not None
+
+
+@pytest.mark.parametrize("orders", [
+    [3] * (MAX_ORDERS + 1),
+    [(1 << 63) + 1] * (MAX_ORDERS - 1) + [1 << 64],
+    [1 << MAX_ORDER_BITS],
+], ids=["count", "bits-many", "bits-one"])
+def test_a_torsion_list_past_the_caps_is_refused(orders):
+    message = (f"entries[0].group.torsion must have at most {MAX_ORDERS} orders, "
+               f"of at most {MAX_ORDER_BITS} bits in all")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        table_from_data(torsion_item(orders))
+    image = {"attaching_images": [{"n": 4, "q": 3, "target": {"torsion": orders},
+                                   "coeffs": [1] * len(orders), "citation": "t"}]}
+    with pytest.raises(ValueError, match=r"^attaching_images\[0\]\.target\.torsion must have"):
+        table_from_data(image)
