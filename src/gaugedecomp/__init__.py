@@ -79,7 +79,6 @@ from .tables import (
     load_table_file,
     load_tables,
     pi6_order,
-    stable_condition,
 )
 
 __version__ = "0.1.0"

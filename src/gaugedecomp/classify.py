@@ -3,7 +3,10 @@
 Decides which classification clause applies to a pair (G, manifold) and
 computes the set of isomorphism classes of principal G-bundles: the free
 group Z^r in the three bijective cases, or the stable wedge formula with
-a symbolic residual term in the wider stable range.  Results are immutable.
+a symbolic residual term in the wider stable range.  The seven-dimensional
+clause comes first, then the SU and Sp stable clauses read off the family
+rows in ``tables``, then the wedge formula; every name of a group, such as
+SU(2), Sp(1) and Spin(3), gets one verdict.  Results are immutable.
 """
 
 from __future__ import annotations
@@ -13,16 +16,17 @@ import math
 from ._record import Record, set_field
 from .manifolds import ConnectedSumSpec, suspension_rank
 from .tables import (
+    _NAMES,
+    LIE_FAMILIES,
     HomotopyTable,
     LieGroup,
     SpaceId,
     _require_table,
     is_simply_connected_simple_compact,
     pi6_order,
-    stable_condition,
 )
 
-SU_STABLE = "SU_stable"
+SU_STABLE = "SU_stable"  # the bijective clause of a family's stable range: f"{family}_stable"
 SP_STABLE = "Sp_stable"
 DIM7_PI6_COPRIME = "Dim7_pi6coprime"
 STABLE_WEDGE = "Stable_wedge_formula"
@@ -50,7 +54,9 @@ def classify_conditions(
 
     When both the seven-dimensional clause and a stable clause apply, the
     seven-dimensional one is reported: only it supports the gauge-group
-    equivalence decision downstream.
+    equivalence decision downstream.  The stable clauses are read off the
+    family row of every name of the group, so SU(2), Sp(1) and Spin(3) get
+    one verdict; a bijective clause comes before the wedge formula.
     """
     if not isinstance(group, LieGroup):
         return ClassificationCase(UNSUPPORTED, "structure group must be a Lie group")
@@ -59,25 +65,21 @@ def classify_conditions(
         d = math.gcd(pi6_order(group, table), *spec.xi)
         if d == 1:
             return ClassificationCase(DIM7_PI6_COPRIME)
-    sc = stable_condition(group, spec.n, spec.q)
-    if sc == "SU":
-        return ClassificationCase(SU_STABLE)
-    if sc == "Sp":
-        return ClassificationCase(SP_STABLE)
-    s = spec.n + spec.q
-    if group.family == "SU" and 2 * group.rank >= s:
-        return ClassificationCase(STABLE_WEDGE)
-    if group.family == "Sp" and 4 * group.rank >= s - 2:
+    n, q, wedge = spec.n, spec.q, False
+    for g in _NAMES.get(group, (group,)):
+        if stable := LIE_FAMILIES[g.family][2]:
+            p, least, slack = stable
+            k, kp = n // p, (q + 1) // p
+            if n % p == 0 == (q + 1) % p and least <= kp <= k and k + kp <= g.rank:
+                return ClassificationCase(f"{g.family}_stable")
+            wedge = wedge or p * g.rank >= n + q - slack
+    if wedge:
         return ClassificationCase(STABLE_WEDGE)
     if seven:
-        return ClassificationCase(
-            UNSUPPORTED,
-            f"gcd(|pi_6({group})|, xi) = {d} != 1 and no stable clause applies",
-        )
-    return ClassificationCase(
-        UNSUPPORTED,
-        f"no classification clause covers {group} with (n, q)=({spec.n}, {spec.q})",
-    )
+        reason = f"gcd(|pi_6({group})|, xi) = {d} != 1 and no stable clause applies"
+    else:
+        reason = f"no classification clause covers {group} with (n, q)=({n}, {q})"
+    return ClassificationCase(UNSUPPORTED, reason)
 
 
 class BundleFormula(Record):

@@ -8,7 +8,9 @@ tables.
 Exit codes: 0 success; 1 domain error (unsupported case, missing table
 key, violated precondition); 2 parse error (bad JSON, bad flag values,
 spec or table files that cannot be read or exceed 1 MiB, an ``echelon``
-or ``orbit-reduce`` input of more than MAX_ROWS rows).
+or ``orbit-reduce`` input of more than MAX_ROWS rows); 141 (``BROKEN_PIPE``)
+stdout closed before all output was written, as by ``gaugedecomp tables |
+head -1``, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .manifolds import ConnectedSumSpec, suspension_splitting
 from .matrices import MixedMatrix, orbit_reduce, row_echelon_mixed
 from .residues import Modulus
 from .tables import (
-    _EXCEPTIONAL_RANK,
+    LIE_FAMILIES,
     LieGroup,
     SpaceId,
     Sphere,
@@ -39,6 +41,7 @@ from .tables import (
 )
 
 TABLES_ENV_VAR = "GAUGEDECOMP_TABLES"
+BROKEN_PIPE = 141  # 128 + SIGPIPE: the status a shell shows for a writer SIGPIPE ended
 
 # echelon and orbit-reduce print an r x r transform, so their cost grows as r^2:
 # at r = 2000, one process takes 0.6-0.9 s and 77 MB of RSS and prints 12 MB
@@ -54,19 +57,17 @@ def check_rows(count: int, what: str) -> None:
 def parse_group(text: str) -> LieGroup:
     """Parse a Lie group name such as SU2, SU(2), Sp3, Spin7, G2, E8."""
     cleaned = text.strip().replace("(", "").replace(")", "")
-    if cleaned in _EXCEPTIONAL_RANK:
-        return LieGroup(cleaned, _EXCEPTIONAL_RANK[cleaned])
+    if cleaned in LIE_FAMILIES and LIE_FAMILIES[cleaned][1]:  # an exceptional group
+        return LieGroup(cleaned, LIE_FAMILIES[cleaned][0])
     family = cleaned.rstrip("0123456789")
-    if family in ("Spin", "SU", "Sp") and family != cleaned:
+    if family != cleaned and family in LIE_FAMILIES and not LIE_FAMILIES[family][1]:
         (rank,) = parse_ints(cleaned[len(family):], "group rank", single=True)
         try:
             return LieGroup(family, rank)
         except ValueError as e:
             raise ParseError(str(e)) from e
-    raise ParseError(
-        f"cannot parse group {text!r}; expected SU<m>, Sp<m>, Spin<m>, "
-        f"G2, F4, E6, E7 or E8"
-    )
+    *names, last = (f if row[1] else f"{f}<m>" for f, row in LIE_FAMILIES.items())
+    raise ParseError(f"cannot parse group {text!r}; expected {', '.join(names)} or {last}")
 
 
 def parse_space(text: str) -> SpaceId:
@@ -327,11 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(payload["pretty"])
+def emit(payload: dict, as_json: bool) -> int:
+    """Print the payload; the exit code, BROKEN_PIPE if stdout was closed."""
+    try:
+        print(json.dumps(payload, sort_keys=True) if as_json else payload["pretty"])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: what is left goes to devnull, so the exit flush is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -352,8 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, LookupError) as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 1
-    emit(payload, args.json)
-    return 0
+    return emit(payload, args.json)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Data-driven tables of homotopy groups, connecting-map orders and gauge invariants.
 
-This module is the only source of topological constants in the package.
+This module is the only source of topological constants in the package,
+the Lie family rows too: each family's least rank, and the stable range of
+SU and Sp from which classify reads its stable clauses.
 Every shipped value carries a citation, lookups of absent keys return
 ``None`` instead of a default, and user table files are merged over the
 built-in core.  A table is checked once, when it is built, and queries
@@ -19,9 +21,17 @@ from ._record import Record, decode_json, exact, read_field, read_file, read_int
 from .abelian import AbelianGroup, cardinality
 from .residues import Modulus
 
-LIE_FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 MAX_ORDERS, MAX_ORDER_BITS = 64, 4096  # per torsion list; invariant factors cost O(orders^2)
-_EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+# One row per Lie family: (least rank, whether it is the only rank, stable range).
+# For G(m) = SU(m) or Sp(m) the stable range (p, least k', slack) gives classify's
+# clauses: the bijective one for n = pk, q = pk' - 1, least k' <= k' <= k and
+# k + k' <= m, and the wedge formula for pm >= n + q - slack, the connectivity
+# of BG(m) -> BG (Bott 1959).
+LIE_FAMILIES = {
+    "SU": (2, False, (2, 2, 0)), "Sp": (1, False, (4, 1, 2)), "Spin": (3, False, None),
+    "G2": (2, True, None), "F4": (4, True, None), "E6": (6, True, None),
+    "E7": (7, True, None), "E8": (8, True, None),
+}
 
 
 class MissingTableError(LookupError):
@@ -49,31 +59,21 @@ class LieGroup(Record):
     def __init__(self, family: str, rank: int):
         if family not in LIE_FAMILIES:
             raise ValueError(f"unknown Lie family {family!r}")
-        if family in _EXCEPTIONAL_RANK:
-            if rank != _EXCEPTIONAL_RANK[family]:
-                raise ValueError(f"{family} has rank {_EXCEPTIONAL_RANK[family]}")
-        elif family == "SU" and rank < 2:
-            raise ValueError("SU(m) needs m >= 2")
-        elif family == "Sp" and rank < 1:
-            raise ValueError("Sp(m) needs m >= 1")
-        elif family == "Spin" and rank < 3:
-            raise ValueError("Spin(m) needs m >= 3")
+        least, fixed, _ = LIE_FAMILIES[family]
+        if fixed and rank != least:
+            raise ValueError(f"{family} has rank {least}")
+        if rank < least:
+            raise ValueError(f"{family}(m) needs m >= {least}")
         set_field(self, "family", family)
         set_field(self, "rank", rank)
 
     def __str__(self):
-        if self.family in _EXCEPTIONAL_RANK:
-            return self.family
-        return f"{self.family}({self.rank})"
+        return self.family if LIE_FAMILIES[self.family][1] else f"{self.family}({self.rank})"
 
 
 SpaceId = Sphere | LieGroup
 
-G2 = LieGroup("G2", 2)
-F4 = LieGroup("F4", 4)
-E6 = LieGroup("E6", 6)
-E7 = LieGroup("E7", 7)
-E8 = LieGroup("E8", 8)
+G2, F4, E6, E7, E8 = (LieGroup(f, row[0]) for f, row in LIE_FAMILIES.items() if row[1])
 
 
 def SU(m: int) -> LieGroup:
@@ -89,6 +89,9 @@ def Spin(m: int) -> LieGroup:
 
 
 _ALIASES = {Sp(1): SU(2), Spin(3): SU(2), Spin(5): Sp(2), Spin(6): SU(4)}
+# Every name of a group with aliases, its canonical form first, by each of its names.
+_NAMES = {g: (g, *[a for a, b in _ALIASES.items() if b == g]) for g in _ALIASES.values()}
+_NAMES.update({a: _NAMES[g] for a, g in _ALIASES.items()})
 # The groups whose pi_6 is nonzero; every other simply connected simple
 # compact group has pi_6 = 0.  Stable range by Bott periodicity (Bott 1959):
 # pi_6(SU(m)) = 0 for m >= 4, pi_6(Sp(m)) = 0 for m >= 2, pi_6(Spin(m)) = 0
@@ -108,11 +111,7 @@ def canonical_space(space: SpaceId) -> SpaceId:
 
 
 def is_simply_connected_simple_compact(space: SpaceId) -> bool:
-    if not isinstance(space, LieGroup):
-        return False
-    if space.family == "Spin" and space.rank == 4:
-        return False
-    return True
+    return isinstance(space, LieGroup) and (space.family, space.rank) != ("Spin", 4)  # SU(2)^2
 
 
 def space_to_dict(space: SpaceId) -> dict:
@@ -240,9 +239,18 @@ def _group(item: dict, key: str, where: str) -> AbelianGroup:
     return _named(where, AbelianGroup.from_orders, free, torsion)
 
 
+def _at_least(item: dict, name: str, where: str, least: int) -> int:
+    """The integer field ``name``, refused below ``least``."""
+    value = read_field(item, name, int, where)
+    if value < least:
+        want = ("non-negative", "a positive integer")[least] if least < 2 else f"at least {least}"
+        raise ValueError(f"{where}.{name} must be {want}, got {value}")
+    return value
+
+
 def _entry(item: dict, where: str):
     space = space_from_dict(read_field(item, "space", dict, where), f"{where}.space")
-    degree = read_field(item, "degree", int, where)
+    degree = _at_least(item, "degree", where, 0)
     citation = read_field(item, "citation", str, where)
     group = _group(item, "group", where)
     if degree % 2 == 0 and group.free_rank and isinstance(space, LieGroup):  # pi_even(G) (x) Q = 0
@@ -250,17 +258,17 @@ def _entry(item: dict, where: str):
     return (canonical_space(space), degree), TableEntry(space, degree, group, citation)
 
 
-def _over_sphere(item: dict, where: str, *names: str):
-    """Key (G, n); value the integer fields ``names``, the last positive, and the citation."""
+def _over_sphere(item: dict, where: str, *fields: tuple[str, int]):
+    """Key (G, n), n a sphere's dimension; value the integer ``fields``, each
+    a (name, least value) pair, and the citation."""
     space = space_from_dict({"lie": read_field(item, "lie", dict, where)}, where)
-    n, *values = (read_field(item, name, int, where) for name in ("n", *names))
-    if values[-1] < 1:  # a connecting map's order, or m of Z/gcd(m, k), is finite
-        raise ValueError(f"{where}.{names[-1]} must be a positive integer, got {values[-1]}")
+    n = _at_least(item, "n", where, 1)
+    values = [_at_least(item, name, where, least) for name, least in fields]
     return (canonical_space(space), n), (*values, read_field(item, "citation", str, where))
 
 
 def _image(item: dict, where: str):
-    key = (read_field(item, "n", int, where), read_field(item, "q", int, where))
+    key = (_at_least(item, "n", where, 2), _at_least(item, "q", where, 2))  # as in a spec
     target, coeffs = _group(item, "target", where), read_ints(item, "coeffs", where)
     citation = read_field(item, "citation", str, where)
     return key, _named(f"{where}.coeffs", GeneratorImage, target, coeffs, citation)
@@ -269,8 +277,9 @@ def _image(item: dict, where: str):
 # The table-file format: each section and the parser of one item to (key, value).
 _SECTIONS = {
     "entries": _entry,
-    "connecting_orders": lambda item, where: _over_sphere(item, where, "order"),
-    "sphere_gauge_invariants": lambda item, where: _over_sphere(item, where, "j", "m"),
+    # A connecting map's order, and m of Z/gcd(m, k), are finite: at least 1.
+    "connecting_orders": lambda item, where: _over_sphere(item, where, ("order", 1)),
+    "sphere_gauge_invariants": lambda item, where: _over_sphere(item, where, ("j", 0), ("m", 1)),
     "attaching_images": _image,
     "suspended_attaching_images": _image,
 }
@@ -349,23 +358,3 @@ def pi6_order(space: SpaceId, table: HomotopyTable | None = None) -> int:
     if g in _PI6_NONTRIVIAL:
         raise MissingTableError(f"pi_6({g})")
     return 1
-
-
-def stable_condition(space: SpaceId, n: int, q: int) -> str | None:
-    """Which stable-range clause (n, q, G) satisfies: "SU", "Sp", or None.
-
-    SU(m) needs n = 2k, q = 2k'-1, 2 <= k' <= k and k + k' <= m;
-    Sp(m) needs n = 4k, q = 4k'-1, 1 <= k' <= k and k + k' <= m.
-    """
-    if not isinstance(space, LieGroup):
-        return None
-    if space.family == "SU" and n % 2 == 0 and q % 2 == 1:
-        k, kp = n // 2, (q + 1) // 2
-        if 2 <= kp <= k and k + kp <= space.rank:
-            return "SU"
-    if space.family == "Sp" and n % 4 == 0 and q % 4 == 3:
-        k, kp = n // 4, (q + 1) // 4
-        if 1 <= kp <= k and k + kp <= space.rank:
-            return "Sp"
-    return None
-

@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values by a different route than the
 package: brute-force closures, prime-factorization recombination, a
-Bareiss determinant, and determinantal divisors.  Nothing imports the
+Bareiss determinant, determinantal divisors, and the classification
+clauses as the paper states them, one family at a time.  Nothing imports the
 implementation paths it checks beyond the basic matrix container.
 """
 
@@ -176,6 +177,60 @@ def rational_degrees(space) -> tuple[int, ...]:
         "E7": (3, 11, 15, 19, 23, 27, 35),
         "E8": (3, 15, 23, 27, 35, 39, 47, 59),
     }[family]
+
+
+# The classical low-rank isomorphisms: each set names one group.
+SAME_GROUP = (
+    {("SU", 2), ("Sp", 1), ("Spin", 3)}, {("Sp", 2), ("Spin", 5)}, {("SU", 4), ("Spin", 6)},
+)
+# |pi_6(G)| where it is nonzero (Mimura 1967); every other group has pi_6 = 0.
+_PI6 = {("SU", 2): 12, ("SU", 3): 6, ("G2", 2): 3}
+
+
+def stable_clause(family: str, rank: int, n: int, q: int) -> str | None:
+    """The bijective stable-range clause that the one name ``family(rank)``
+    meets over (n, q), as the paper states it, or None.
+
+    SU(m) needs n = 2k, q = 2k' - 1, 2 <= k' <= k and k + k' <= m;
+    Sp(m) needs n = 4k, q = 4k' - 1, 1 <= k' <= k and k + k' <= m.
+    """
+    if family == "SU" and n % 2 == 0 and q % 2 == 1:
+        k, kp = n // 2, (q + 1) // 2
+        if 2 <= kp <= k and k + kp <= rank:
+            return "SU_stable"
+    if family == "Sp" and n % 4 == 0 and q % 4 == 3:
+        k, kp = n // 4, (q + 1) // 4
+        if 1 <= kp <= k and k + kp <= rank:
+            return "Sp_stable"
+    return None
+
+
+def wedge_range(family: str, rank: int, n: int, q: int) -> bool:
+    """Whether the stable wedge formula covers the one name ``family(rank)``:
+    BSU(m) -> BSU is (2m + 1)-connected and BSp(m) -> BSp (4m + 3)-connected
+    (Bott 1959), so SU(m) needs 2m >= n + q and Sp(m) needs 4m >= n + q - 2."""
+    if family == "SU":
+        return 2 * rank >= n + q
+    if family == "Sp":
+        return 4 * rank >= n + q - 2
+    return False
+
+
+def classification_kind(family: str, rank: int, n: int, q: int, xi) -> str:
+    """The clause that covers ``family(rank)`` over the (n, q) sum with twists
+    xi: the seven-dimensional one when G is simple and gcd(|pi_6(G)|, xi) = 1,
+    then a stable clause of any name of G, then the wedge formula of any name."""
+    names = next((s for s in SAME_GROUP if (family, rank) in s), {(family, rank)})
+    pi6 = max(_PI6.get(name, 1) for name in names)
+    if (n, q) == (4, 3) and (family, rank) != ("Spin", 4) and math.gcd(pi6, *xi) == 1:
+        return "Dim7_pi6coprime"
+    for name in sorted(names):
+        kind = stable_clause(*name, n, q)
+        if kind:
+            return kind
+    if any(wedge_range(*name, n, q) for name in names):
+        return "Stable_wedge_formula"
+    return "Unsupported"
 
 
 def echelon_rank(b) -> int:

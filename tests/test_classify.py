@@ -74,6 +74,23 @@ class TestDispatch:
         case = classify_conditions(SU(4), ConnectedSumSpec(5, 3, (1, 2)))
         assert case.kind == STABLE_WEDGE
 
+    @pytest.mark.parametrize("names", [(SU(2), Sp(1), Spin(3)), (Sp(2), Spin(5)), (SU(4), Spin(6))],
+                             ids=["SU2", "Sp2", "SU4"])
+    def test_every_name_of_a_group_gets_one_verdict(self, names):
+        for n in range(2, 13):
+            for q in range(2, 13):
+                for xi in ((1, 0), (2, 4), (0, 0)):
+                    spec = ConnectedSumSpec(n, q, xi)
+                    kinds = {classify_conditions(g, spec).kind for g in names}
+                    assert len(kinds) == 1, (names, n, q, xi, kinds)
+
+    def test_an_alias_reaches_the_wedge_range_of_its_other_names(self):
+        # Sp(1) meets 4m >= n + q - 2 at (4, 2); SU(2) alone would not meet 2m >= n + q.
+        for g in (SU(2), Sp(1), Spin(3)):
+            assert classify_conditions(g, ConnectedSumSpec(4, 2, (1, 0))).kind == STABLE_WEDGE
+        assert classify_conditions(Spin(6), ConnectedSumSpec(5, 3, (1, 0))).kind == STABLE_WEDGE
+        assert classify_conditions(Spin(5), ConnectedSumSpec(6, 3, (1, 0))).kind == STABLE_WEDGE
+
     def test_sphere_group_unsupported(self):
         case = classify_conditions(Sphere(3), ConnectedSumSpec(4, 3, (1, 0)))
         assert case.kind == UNSUPPORTED

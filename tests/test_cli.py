@@ -477,6 +477,8 @@ def _item(section, **fields):
                               "citation": "c"},
         "attaching_images": {"n": 4, "q": 3, "target": {"free": 0, "torsion": [12]},
                              "coeffs": [1], "citation": "c"},
+        "suspended_attaching_images": {"n": 4, "q": 3, "target": {"free": 0, "torsion": [12]},
+                                       "coeffs": [1], "citation": "c"},
         "sphere_gauge_invariants": {"lie": {"family": "SU", "rank": 3}, "n": 4, "j": 2,
                                     "m": 6, "citation": "c"},
     }
@@ -544,6 +546,30 @@ class TestTableFileFaults:
         assert (code, out) == (1, "")
         assert err == f"domain error: table file {path}: {message}\n"
 
+    @pytest.mark.parametrize("section, field, edge, want", [
+        ("entries", "degree", 0, "non-negative"),
+        ("sphere_gauge_invariants", "j", 0, "non-negative"),
+        ("connecting_orders", "n", 1, "a positive integer"),
+        ("sphere_gauge_invariants", "n", 1, "a positive integer"),
+        ("attaching_images", "n", 2, "at least 2"),
+        ("attaching_images", "q", 2, "at least 2"),
+        ("suspended_attaching_images", "n", 2, "at least 2"),
+        ("suspended_attaching_images", "q", 2, "at least 2"),
+    ])
+    def test_a_field_loads_at_its_least_value_and_is_refused_below(
+        self, capsys, tmp_path, section, field, edge, want
+    ):
+        # Degrees and j are non-negative, a sphere's dimension n is at least 1,
+        # and an image's (n, q) at least 2, as in a manifold spec.
+        path = tmp_path / "t.json"
+        path.write_text(_table(section, **{field: edge}))
+        assert run(capsys, "tables", "--tables", str(path))[0] == 0
+        path.write_text(_table(section, **{field: edge - 1}))
+        code, out, err = run(capsys, "tables", "--tables", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"domain error: table file {path}: "
+                       f"{section}[0].{field} must be {want}, got {edge - 1}\n")
+
     @pytest.mark.parametrize("text, message", [
         ("[" * 3000, "maximum recursion depth exceeded"),
         ("[" + "7" * 4400 + "]", "Exceeds the limit (4300 digits)"),
@@ -596,6 +622,29 @@ class TestCrossProcess:
         ]
         assert runs[0] == runs[1]
         assert b"G^1(S^4)" in runs[0]
+
+
+class TestClosedStdout:
+
+    @pytest.mark.parametrize("argv", [
+        ["tables"], ["tables", "--json"], ["orbit-reduce", "--m", "12", "--x", "6,4"],
+    ], ids=["long", "long-json", "short"])
+    def test_a_closed_stdout_exits_141_with_nothing_on_stderr(self, argv):
+        import os
+        import subprocess
+        import sys
+
+        # The read end is closed before the child starts, so its first write
+        # fails: inside print for the long listing, at the flush for one line.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gaugedecomp.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (cli.BROKEN_PIPE, "")
 
 
 class TestImportHygiene:

@@ -10,7 +10,7 @@ listing, a user table with torsion out of chain order, user twist images
 in the two-generator targets Z/2 (+) Z/4 and Z/3 (+) Z/24, a user table
 whose suspended image cannot be a suspension (refused when loaded, by
 every command and whatever the twists), the stable-wedge bundle formula,
-and exit codes 1 and 2.
+the one verdict that every name of a group gets, and exit codes 1 and 2.
 
 To record a new corpus, run ``python3 tests/test_cli_corpus.py`` with
 ``src`` on the path: it rewrites the outputs for the listed argv.

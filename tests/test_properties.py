@@ -52,6 +52,7 @@ from oracles import (
     bareiss_det,
     check_reads_as_eager,
     check_same_record,
+    classification_kind,
     coordinate_order,
     diagonal,
     random_unimodular,
@@ -653,3 +654,27 @@ def test_splitting_is_invariant_under_gl_r_on_a_two_generator_target():
     # [[1, 0], [-2, 1]] carries (1, 2) to (1, 0).
     spec, moved = ConnectedSumSpec(6, 5, (1, 2)), ConnectedSumSpec(6, 5, (1, 0))
     assert suspension_splitting(spec, TWO_GENERATOR_TABLE) == suspension_splitting(moved, TWO_GENERATOR_TABLE)
+
+
+lie_groups = st.one_of(
+    st.builds(SU, st.integers(2, 12)), st.builds(Sp, st.integers(1, 8)),
+    st.builds(Spin, st.integers(3, 14)), st.sampled_from([G2, F4, E6, E7, E8]),
+)
+
+
+@settings(PROFILE, max_examples=400)
+@given(
+    lie_groups,
+    st.one_of(st.just((4, 3)), st.tuples(st.integers(2, 20), st.integers(2, 20))),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=3),
+)
+@example(Spin(3), (4, 2), [1, 0])
+@example(Sp(1), (4, 3), [2, 4])
+@example(Spin(6), (5, 3), [1])
+@example(Spin(5), (6, 3), [0])
+@example(Sp(3), (8, 3), [1, 2])
+@example(SU(5), (6, 3), [0, 0])
+def test_classification_matches_the_clauses_as_stated(group, nq, xi):
+    n, q = nq
+    case = classify_conditions(group, ConnectedSumSpec(n, q, tuple(xi)))
+    assert case.kind == classification_kind(group.family, group.rank, n, q, xi)

@@ -5,6 +5,10 @@ import re
 import pytest
 
 from gaugedecomp import (
+    SP_STABLE,
+    STABLE_WEDGE,
+    SU_STABLE,
+    UNSUPPORTED,
     E6,
     E7,
     E8,
@@ -22,13 +26,13 @@ from gaugedecomp import (
     TRIVIAL_GROUP,
     Z,
     canonical_space,
+    classify_conditions,
     cyclic,
     default_table,
     gauge_decomposition,
     is_simply_connected_simple_compact,
     load_tables,
     pi6_order,
-    stable_condition,
 )
 from gaugedecomp.tables import (
     MAX_ORDER_BITS,
@@ -38,14 +42,15 @@ from gaugedecomp.tables import (
     space_to_dict,
     table_from_data,
 )
-from oracles import rational_degrees
+from oracles import rational_degrees, stable_clause
 
 CORE = default_table()
 
 
 def stable_pi_rule(space, n, q, degree):
     """Stable-range values: Z in degree n-1, trivial in degrees q-1 and n+q-1."""
-    if stable_condition(space, n, q) is None or degree not in (q - 1, n - 1, n + q - 1):
+    in_range = stable_clause(space.family, space.rank, n, q) is not None
+    if not in_range or degree not in (q - 1, n - 1, n + q - 1):
         raise ValueError(f"no stable value for pi_{degree}({space}) at (n, q)=({n}, {q})")
     return Z if degree == n - 1 else TRIVIAL_GROUP
 
@@ -235,10 +240,15 @@ class TestLoading:
 class TestStableRule:
 
     def test_condition_detection(self):
-        assert stable_condition(SU(5), 6, 3) == "SU"
-        assert stable_condition(Sp(3), 4, 3) == "Sp"
-        assert stable_condition(SU(2), 6, 3) is None
-        assert stable_condition(SU(5), 6, 4) is None
+        assert stable_clause("SU", 5, 6, 3) == "SU_stable"
+        assert stable_clause("Sp", 3, 4, 3) == "Sp_stable"
+        assert stable_clause("SU", 2, 6, 3) is None
+        assert stable_clause("SU", 5, 6, 4) is None
+        # The same cases through the package; at (4, 3) the seven-dimensional
+        # clause comes first, so Sp(3) is checked at (8, 3) too.
+        kinds = [classify_conditions(g, ConnectedSumSpec(n, q, (0,))).kind
+                 for g, n, q in ((SU(5), 6, 3), (Sp(3), 8, 3), (SU(2), 6, 3), (SU(5), 6, 4))]
+        assert kinds == [SU_STABLE, SP_STABLE, UNSUPPORTED, STABLE_WEDGE]
 
     def test_values(self):
         assert stable_pi_rule(SU(5), 6, 3, 5) == Z
@@ -258,7 +268,7 @@ class TestStableRule:
             (Sp(3), 4, 3), (SU(6), 6, 5), (SU(8), 8, 3),
         ]
         for group, n, q in cases:
-            if stable_condition(group, n, q) is None:
+            if stable_clause(group.family, group.rank, n, q) is None:
                 continue
             for degree in (q - 1, n - 1, n + q - 1):
                 shipped = CORE.lookup_pi(group, degree)
@@ -277,7 +287,7 @@ def test_stable_rule_sweep_against_all_shipped_entries():
     for group in groups:
         for n in (4, 6, 8, 10, 12):
             for q in (3, 5, 7):
-                if stable_condition(group, n, q) is None:
+                if stable_clause(group.family, group.rank, n, q) is None:
                     continue
                 for degree in (q - 1, n - 1, n + q - 1):
                     shipped = table.lookup_pi(group, degree)
