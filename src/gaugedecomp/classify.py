@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record, set_field
-from .manifolds import ConnectedSumSpec, suspension_rank
+from .manifolds import ConnectedSumSpec, _spheres, suspension_rank
 from .tables import (
     _NAMES,
     LIE_FAMILIES,
@@ -115,27 +115,24 @@ class BundleClassification(Record):
 def stable_wedge_formula(
     group: SpaceId, spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> BundleFormula:
-    """The wedge-range formula: r copies of pi_{n-1}(G), r - rank copies of
+    """The wedge-range formula: pi_{d-1}(G) once per d-sphere of the wedge
+    in Sigma M, so r copies of pi_{n-1}(G) and r - rank copies of
     pi_{q-1}(G), plus the symbolic residual [Y_F, BG].
 
-    When no twist-image data fixes the rank, the pi_{q-1} term keeps all r
-    copies if that group is trivial (the multiplicity is then irrelevant);
-    a nontrivial group without rank data raises.
+    When no twist-image data fixes the rank, it is taken as 0 if pi_{q-1}(G)
+    is trivial (the multiplicity is then irrelevant); a nontrivial group
+    without rank data raises.
     """
     table = _require_table(table)
-    pi_n1 = table.lookup_pi(group, spec.n - 1)
-    pi_q1 = table.lookup_pi(group, spec.q - 1)
     try:
-        low_mult = spec.r - suspension_rank(spec, table)
+        tbar = suspension_rank(spec, table)
     except LookupError:
-        if pi_q1 is not None and pi_q1.is_trivial:
-            low_mult = spec.r
-        else:
+        pi_q1 = table.lookup_pi(group, spec.q - 1)
+        if pi_q1 is None or not pi_q1.is_trivial:
             raise
-    terms = [(pi_n1, spec.r)]
-    if low_mult > 0:
-        terms.append((pi_q1, low_mult))
-    return BundleFormula(tuple(terms), "[Y_F, BG]")
+        tbar = 0
+    terms = tuple([(table.lookup_pi(group, d - 1), c) for d, c in _spheres(spec, tbar)])
+    return BundleFormula(terms, "[Y_F, BG]")
 
 
 def principal_bundles(

@@ -6,11 +6,12 @@ two outputs never diverge.  Output is deterministic for fixed inputs and
 tables.
 
 Exit codes: 0 success; 1 domain error (unsupported case, missing table
-key, violated precondition); 2 parse error (bad JSON, bad flag values,
-spec or table files that cannot be read or exceed 1 MiB, an ``echelon``
-or ``orbit-reduce`` input of more than MAX_ROWS rows); 141 (``BROKEN_PIPE``)
-stdout closed before all output was written, as by ``gaugedecomp tables |
-head -1``, with nothing on stderr.
+key, violated precondition); 2 parse error (bad JSON, bad flag values such
+as a negative ``--j``, ``--m`` or ``--lookup`` degree, spec or table files
+that cannot be read or exceed 1 MiB, an ``echelon`` or ``orbit-reduce``
+input of more than MAX_ROWS rows); 141 (``BROKEN_PIPE``) stdout closed
+before all output was written, as by ``gaugedecomp tables | head -1``, with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def cmd_equivalent(args) -> dict:
 
 def cmd_pi(args) -> dict:
     (j,) = parse_ints(args.j, "--j", single=True)
+    if j < 0:
+        raise ParseError(f"--j must be non-negative, got {j}")
     payload = pointed_gauge_pi(args.group, args.spec, j, args.table).to_dict()
     payload["j"] = j
     return payload

@@ -2,10 +2,11 @@
 
 Expressions are products, in formula order, of a small factor vocabulary:
 a gauge group over a single sphere, iterated loop spaces, and a pointed
-mapping space on the cofibre descriptor.  Each function lists the same
-factors in the same order, so structural equality of expressions is the
-notion of "same decomposition" used throughout; all results are immutable
-values.
+mapping space on the cofibre descriptor.  Loop spaces and homotopy groups
+come from the spheres of ``manifolds._spheres``: Omega^d G, or pi_{j+d}(G),
+per d-sphere.  Each function lists the same factors in the same order, so
+structural equality of expressions is the notion of "same decomposition"
+used throughout; all results are immutable values.
 
 Equivalence verdicts never claim more than is proved.  The decomposition
 depends on K only through its level, so equal levels give Equivalent.
@@ -21,7 +22,7 @@ from collections.abc import Sequence
 from ._record import Record
 from .abelian import AbelianGroup, cardinality, direct_sum
 from .classify import classify_conditions
-from .manifolds import ConnectedSumSpec, _suspended_image, cofibre_space, suspension_rank
+from .manifolds import ConnectedSumSpec, _spheres, _suspended_image, cofibre_space, suspension_rank
 from .tables import HomotopyTable, LieGroup, SpaceId, _require_table
 
 
@@ -121,13 +122,11 @@ def _wedge_part(group, n: int, r: int, ks: tuple[int, ...], table: HomotopyTable
     return [(SphereGauge(group, n, level), 1), (LoopSpace(group, n), r - 1)]
 
 
-def _cofibre_part(group, spec: ConnectedSumSpec, table: HomotopyTable) -> list:
-    """(Omega^q G)^(r - rank) times Map*(Y_F, G), for a spec past the gate."""
-    tbar = suspension_rank(spec, table)
-    return [
-        (LoopSpace(group, spec.q), spec.r - tbar),
-        (MapStar(cofibre_space(spec, table), group), 1),
-    ]
+def _pointed_part(group, spec: ConnectedSumSpec, table: HomotopyTable) -> list:
+    """Omega^d G for each d-sphere of the wedge, times Map*(Y_F, G), for a
+    spec past the gate; the first term is always (Omega^n G)^r."""
+    loops = [(LoopSpace(group, d), c) for d, c in _spheres(spec, suspension_rank(spec, table))]
+    return loops + [(MapStar(cofibre_space(spec, table), group), 1)]
 
 
 def wedge_gauge_decomposition(
@@ -167,7 +166,7 @@ def gauge_decomposition(
     _check_length(ks, spec.r)
     table = _require_decomposable(group, spec, table)
     wedge = _wedge_part(group, spec.n, spec.r, ks, table)
-    return ProductExpr.build(wedge + _cofibre_part(group, spec, table))
+    return ProductExpr.build(wedge + _pointed_part(group, spec, table)[1:])
 
 
 def pointed_gauge_decomposition(
@@ -183,9 +182,7 @@ def pointed_gauge_decomposition(
     """
     if ks is not None:
         _check_length(ks, spec.r)
-    table = _require_decomposable(group, spec, table)
-    loops = [(LoopSpace(group, spec.n), spec.r)]
-    return ProductExpr.build(loops + _cofibre_part(group, spec, table))
+    return ProductExpr.build(_pointed_part(group, spec, _require_decomposable(group, spec, table)))
 
 
 class EquivalenceVerdict(Record):
@@ -214,8 +211,7 @@ def gauge_equivalent(
     _check_length(ks, spec.r)
     _check_length(ks2, spec.r)
     table = _require_decomposable(group, spec, table)
-    if any(spec.xi):  # all-zero twists have rank 0 and need no image data
-        _suspended_image(spec, table)
+    _suspended_image(spec, table)  # refuses a missing image, as the decomposition does
     n, order = spec.n, table.connecting_order(group, spec.n)
     g1, g2 = math.gcd(order or 0, *ks), math.gcd(order or 0, *ks2)
     o = f"{order}, " if order else ""
@@ -313,8 +309,6 @@ def pointed_gauge_pi(
     symbolic: list[str] = []
 
     def gather(degree: int, mult: int):
-        if mult <= 0:
-            return
         got = table.lookup_pi(group, degree)
         if got is None:
             label = f"pi_{degree}({group})"
@@ -322,9 +316,8 @@ def pointed_gauge_pi(
         else:
             known.extend([got] * mult)
 
-    gather(j + spec.n, spec.r)
-    gather(j + spec.q, spec.r - tbar)
-
+    for d, c in _spheres(spec, tbar):
+        gather(j + d, c)
     if tbar == 0:
         # The cofibre is the sphere S^{n+q}, so the residual is a loop space.
         gather(j + spec.n + spec.q, 1)

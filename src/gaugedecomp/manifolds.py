@@ -5,9 +5,11 @@ S^n admitting cross sections, each summand given by one integer twist.
 Summand i attaches through xi_i c, c the table's image of the twist
 generator, and E_Mat(Y^r) = GL_r(Z) carries (xi_1 c, ..., xi_r c) to
 (gcd(xi) c, 0, ..., 0).  So the suspension rank is t-bar = [gcd(xi) c != 0],
-the head of one reduced twist column: xi mod the order of c.  The cofibre
-descriptor carries the one attaching element (flagged unresolved when the
-tables lack it) and survives as an opaque mapping-space factor downstream.
+the head of one reduced twist column: xi mod the order of c.  Then Sigma M ~
+v_r S^{n+1} v v_{r - t-bar} S^{q+1} v Sigma Y_F, and every formula reads its
+factors off the spheres that ``_spheres`` lists.  The cofibre descriptor
+carries the one attaching element (flagged unresolved when the tables lack
+it) and survives as an opaque mapping-space factor downstream.
 
 Built-in table data covers (n, q) = (4, 3), where the twist image in
 pi_6(S^3) = Z/12 is the twist reduced mod 12.  Other (n, q) work exactly
@@ -64,6 +66,9 @@ def _twist_column(spec: ConnectedSumSpec, image) -> MixedMatrix:
 
 
 def _suspended_image(spec: ConnectedSumSpec, table: HomotopyTable | None):
+    """The suspended image c, or None for all-zero twists: their image is 0 in any group."""
+    if not any(spec.xi):
+        return None
     image = _require_table(table).suspended_image(spec.n, spec.q)
     if image is None:
         raise MissingTableError(
@@ -79,12 +84,17 @@ def suspension_rank(
     """t-bar = [gcd(xi) c != 0] for the suspended image c: the head of the
     reduced twist column, which the echelon leaves as (d, 0, ..., 0), d = 0
     only if the column is.  A missing image raises MissingTableError."""
-    if not any(spec.xi):
-        # A zero twist has zero image in any receiving group, so the rank
-        # is 0 without consulting the tables.
+    if (image := _suspended_image(spec, table)) is None:
         return 0
-    _, reduced = row_echelon_mixed(_twist_column(spec, _suspended_image(spec, table)))
+    _, reduced = row_echelon_mixed(_twist_column(spec, image))
     return 1 if reduced.entries[0] else 0
+
+
+def _spheres(spec: ConnectedSumSpec, tbar: int) -> tuple[tuple[int, int], ...]:
+    """The spheres of Sigma M one dimension down, as (dimension, count): r
+    n-spheres and r - t-bar q-spheres, a zero count dropped."""
+    low = spec.r - tbar
+    return ((spec.n, spec.r), (spec.q, low)) if low else ((spec.n, spec.r),)
 
 
 class CofibreDescriptor(Record):
@@ -162,14 +172,9 @@ class WedgeSplitting(Record):
 def suspension_splitting(
     spec: ConnectedSumSpec, table: HomotopyTable | None = None
 ) -> WedgeSplitting:
-    """Suspension of the connected sum as a wedge.
-
-    r copies of S^{n+1}, r - rank copies of S^{q+1}, and the suspended
-    cofibre.
-    """
+    """Sigma M as a wedge: S^{d+1} per S^d of ``_spheres``, and the suspended cofibre."""
     cofibre = cofibre_space(spec, table)
-    counts: dict[int, int] = {spec.n + 1: spec.r}
-    if spec.r - cofibre.sphere_count > 0:
-        counts[spec.q + 1] = counts.get(spec.q + 1, 0) + (spec.r - cofibre.sphere_count)
-    spheres = tuple(sorted(counts.items(), key=lambda t: -t[0]))
-    return WedgeSplitting(spheres, cofibre)
+    counts: dict[int, int] = {}
+    for dim, count in _spheres(spec, cofibre.sphere_count):
+        counts[dim + 1] = counts.get(dim + 1, 0) + count
+    return WedgeSplitting(tuple(sorted(counts.items(), reverse=True)), cofibre)

@@ -6,7 +6,7 @@ import pytest
 from gaugedecomp import cli
 from gaugedecomp._record import MAX_FILE_BYTES
 from gaugedecomp.cli import main, parse_group, parse_space
-from gaugedecomp import LieGroup, Modulus, Sphere
+from gaugedecomp import SU, ConnectedSumSpec, LieGroup, Modulus, Sphere, pointed_gauge_pi
 
 SPEC = '{"n":4,"q":3,"xi":[1,0]}'
 
@@ -212,6 +212,16 @@ class TestPi:
         payload = json.loads(out)
         assert payload["known"] == {"free": 1, "torsion": [2, 2]}
         assert payload["symbolic"] == []
+
+    def test_negative_degree_is_parse_error(self, capsys):
+        # A bad flag value exits 2, as a negative --lookup degree or --m does;
+        # the library itself still refuses the degree with a ValueError.
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "pi", "--group", "SU2", "--spec", SPEC, "--j", "-1", *extra)
+            assert (code, out) == (2, "")
+            assert err == "parse error: --j must be non-negative, got -1\n"
+        with pytest.raises(ValueError, match="homotopy degree must be non-negative"):
+            pointed_gauge_pi(SU(2), ConnectedSumSpec(4, 3, (1, 0)), -1)
 
 
 class TestExitCodes:

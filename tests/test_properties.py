@@ -32,6 +32,7 @@ from gaugedecomp import (
     SU,
     classify_conditions,
     default_table,
+    direct_sum,
     gauge_decomposition,
     gauge_equivalent,
     is_echelon,
@@ -43,6 +44,7 @@ from gaugedecomp import (
     row_echelon_int,
     row_echelon_mixed,
     smith_invariants,
+    stable_wedge_formula,
     suspension_rank,
     suspension_splitting,
 )
@@ -412,6 +414,47 @@ def test_suspension_rank_matches_the_rank_oracle(image, xi):
     target = image["target"]
     expected = twist_rank(xi, target.get("free", 0), target["torsion"], image["coeffs"])
     assert suspension_rank(ConnectedSumSpec(6, 5, tuple(xi)), table) == expected
+
+
+def su6_entries(groups):
+    """Table entries putting each {degree: torsion orders} on SU(6)."""
+    return table_from_data({"entries": [
+        {"space": {"lie": {"family": "SU", "rank": 6}}, "degree": d, "group": {"torsion": t},
+         "citation": "drawn"} for d, t in groups.items()
+    ]})
+
+
+def loop_degrees(expr):
+    """(d, multiplicity) of each Omega^d factor of a product, in order."""
+    return [(f.degree, m) for f, m in expr.factors if isinstance(f, LoopSpace)]
+
+
+@PROFILE
+@given(image_pairs(), st.lists(small_ints, min_size=1, max_size=6))
+@example((image_of({"torsion": [2, 4]}, [1, 1]), image_of({"torsion": [4]}, [1])), [0, 0, 0])
+@example((image_of({"torsion": [3, 24]}, [1, 1]), image_of({"torsion": [24]}, [1])), [5])
+def test_every_formula_reads_one_splitting(images, xi):
+    # Sigma M ~ v_r S^7 v v_{r - t-bar} S^6 v Sigma Y_F at (6, 5), with t-bar
+    # from the rank oracle: each formula takes one factor per sphere S^{d+1},
+    # Omega^d G or pi_{j+d}(G) or pi_{d-1}(G), with the sphere's count.
+    suspended, unsuspended = images
+    target, r = suspended["target"], len(xi)
+    rank = twist_rank(xi, target.get("free", 0), target["torsion"], suspended["coeffs"])
+    wedge = [(d, c) for d, c in ((6, r), (5, r - rank)) if c]
+    spec, images_table = ConnectedSumSpec(6, 5, tuple(xi)), image_table(suspended, unsuspended, 6, 5)
+    assert suspension_splitting(spec, images_table).spheres == tuple((d + 1, c) for d, c in wedge)
+    assert loop_degrees(pointed_gauge_decomposition(SU(6), spec, None, images_table)) == wedge
+    unpointed = [(6, r - 1)] * (r > 1) + wedge[1:]
+    assert loop_degrees(gauge_decomposition(SU(6), spec, (1,) * r, images_table)) == unpointed
+    for j in range(4):
+        # Z/2, Z/3 and Z/5 at the n-, q- and (n + q)-sphere degrees, so the
+        # known part shows how often each is taken.
+        table = su6_entries({j + 6: [2], j + 5: [3], j + 11: [5]}).merged_over(images_table)
+        groups = [AbelianGroup(0, (2,))] * r + [AbelianGroup(0, (3,))] * (r - rank)
+        groups += [AbelianGroup(0, (5,))] * (rank == 0)
+        assert pointed_gauge_pi(SU(6), spec, j, table).known == direct_sum(groups)
+    terms = stable_wedge_formula(Sp(3), spec, images_table).terms
+    assert terms == tuple((images_table.lookup_pi(Sp(3), d - 1), c) for d, c in wedge)
 
 
 # The core table alone, the core with a connecting order for G2 over S^4,
